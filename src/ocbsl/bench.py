@@ -21,11 +21,10 @@ near 1 means quasilinear, near 2 quadratic.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .dag import Arena
 from .normalize import Session, Stats
@@ -81,8 +80,7 @@ def fit_exponent(sizes: list[int], times_ns: list[int]) -> float:
     """Least-squares slope of log(time) against log(size)."""
     if len(sizes) < 2:
         raise ValueError("need at least two points to fit a slope")
-    slope, _ = np.polyfit(np.log(np.asarray(sizes, dtype=float)), np.log(np.asarray(times_ns, dtype=float)), 1)
-    return float(slope)
+    return statistics.linear_regression(list(map(math.log, sizes)), list(map(math.log, times_ns))).slope
 
 
 def run_bench(

@@ -82,6 +82,9 @@ def _cmd_batch(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except UnicodeDecodeError:
+        print(f"error: {args.path}: not valid UTF-8", file=sys.stderr)
+        return EXIT_ERROR
     arena = Arena()
     session = Session(arena)
     checked = equivalent_count = violations = errors = 0
@@ -121,12 +124,16 @@ def _cmd_bench(args) -> int:
     if args.min_exp > args.max_exp:
         print("error: --min-exp must not exceed --max-exp", file=sys.stderr)
         return EXIT_ERROR
-    report = run_bench(
-        args.family,
-        range(args.min_exp, args.max_exp + 1),
-        reps=args.reps,
-        size_scheduling=not args.no_size_scheduling,
-    )
+    try:
+        report = run_bench(
+            args.family,
+            range(args.min_exp, args.max_exp + 1),
+            reps=args.reps,
+            size_scheduling=not args.no_size_scheduling,
+        )
+    except ValueError as exc:  # run_bench rejects too few sizes or reps
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     sys.stdout.write(report_tsv(report))
     mode = "stored-order" if args.no_size_scheduling else "smallest-first"
     print(

@@ -7,6 +7,14 @@ sharing stay small even when the fully expanded tree is astronomically
 large.  Children of a join are kept in stored order here; commutativity is
 the normalizer's business.
 
+Refs are handed out in append order, and a node can only be interned
+after its children exist, so every child has a smaller ref than its
+parent: ascending refs are a topological order.  Two measures lean on
+this.  A node's expanded tree size is fixed when it is interned, from the
+sizes its children already have.  And the nodes reachable from some
+roots, sorted, list every node after its children, at O(r log r) for r
+reachable refs.
+
 The plain-tuple interchange form used by `intern_tree`/`export_tree` (and
 by the rewrite oracle) is::
 
@@ -15,7 +23,6 @@ by the rewrite oracle) is::
 
 from __future__ import annotations
 
-from collections import deque
 import re
 
 __all__ = [
@@ -55,19 +62,19 @@ class Arena:
         self._kinds: list[int] = []
         self._payload: list = []  # name | child ref | tuple of child refs | None
         self._memo: dict = {}
-        self._sizes: list[int] = []  # 0 = not yet computed
+        self._sizes: list[int] = []  # expanded tree size, saturating at SIZE_CAP
         self._max_nodes = max_nodes
 
     def __len__(self) -> int:
         return len(self._kinds)
 
-    def _add(self, key, kind: int, payload) -> int:
+    def _add(self, key, kind: int, payload, size: int = 1) -> int:
         if self._max_nodes is not None and len(self._kinds) >= self._max_nodes:
             raise ArenaFullError(f"arena limit of {self._max_nodes} nodes reached")
         ref = len(self._kinds)
         self._kinds.append(kind)
         self._payload.append(payload)
-        self._sizes.append(0)
+        self._sizes.append(size)
         self._memo[key] = ref
         return ref
 
@@ -90,7 +97,9 @@ class Arena:
         self._check(child)
         key = ("n", child)
         ref = self._memo.get(key)
-        return ref if ref is not None else self._add(key, NEG, child)
+        if ref is not None:
+            return ref
+        return self._add(key, NEG, child, min(SIZE_CAP, 1 + self._sizes[child]))
 
     def join(self, children: tuple[int, ...]) -> int:
         children = tuple(children)
@@ -100,7 +109,10 @@ class Arena:
             self._check(c)
         key = ("j", children)
         ref = self._memo.get(key)
-        return ref if ref is not None else self._add(key, JOIN, children)
+        if ref is not None:
+            return ref
+        size = 1 + sum(map(self._sizes.__getitem__, children))
+        return self._add(key, JOIN, children, min(SIZE_CAP, size))
 
     def _check(self, ref: int) -> None:
         if not (isinstance(ref, int) and 0 <= ref < len(self._kinds)):
@@ -132,82 +144,27 @@ class Arena:
         """Every node reachable from roots, each after all of its children."""
         for r in roots:
             self._check(r)
-        discovered: list[int] = []
         seen: set[int] = set()
-        stack = [r for r in reversed(roots)]
+        stack = list(roots)
         while stack:
             n = stack.pop()
             if n in seen:
                 continue
             seen.add(n)
-            discovered.append(n)
             kind = self._kinds[n]
             if kind == NEG:
                 stack.append(self._payload[n])
             elif kind == JOIN:
-                stack.extend(reversed(self._payload[n]))
-
-        # Kahn's algorithm over child->parent dependencies: a node is
-        # emitted once all its distinct children have been emitted.
-        parents: dict[int, list[int]] = {n: [] for n in discovered}
-        missing: dict[int, int] = {}
-        for n in discovered:
-            kind = self._kinds[n]
-            if kind == NEG:
-                kids = (self._payload[n],)
-            elif kind == JOIN:
-                kids = tuple(dict.fromkeys(self._payload[n]))
-            else:
-                kids = ()
-            missing[n] = len(kids)
-            for c in kids:
-                parents[c].append(n)
-        queue = deque(n for n in discovered if missing[n] == 0)
-        order: list[int] = []
-        while queue:
-            n = queue.popleft()
-            order.append(n)
-            for p in parents[n]:
-                missing[p] -= 1
-                if missing[p] == 0:
-                    queue.append(p)
-        assert len(order) == len(discovered)
-        return order
+                stack.extend(self._payload[n])
+        return sorted(seen)
 
     def tree_size(self, ref: int) -> int:
         """Node count of the fully expanded tree under ref, saturating at SIZE_CAP.
 
-        Memoized; shared subterms are measured once.
+        Fixed when ref is interned, so this is a lookup.
         """
         self._check(ref)
-        sizes = self._sizes
-        if sizes[ref]:
-            return sizes[ref]
-        stack = [ref]
-        while stack:
-            n = stack[-1]
-            if sizes[n]:
-                stack.pop()
-                continue
-            kind = self._kinds[n]
-            if kind == NEG:
-                child = self._payload[n]
-                if sizes[child]:
-                    sizes[n] = min(SIZE_CAP, 1 + sizes[child])
-                    stack.pop()
-                else:
-                    stack.append(child)
-            elif kind == JOIN:
-                todo = [c for c in self._payload[n] if not sizes[c]]
-                if todo:
-                    stack.extend(todo)
-                else:
-                    sizes[n] = min(SIZE_CAP, 1 + sum(sizes[c] for c in self._payload[n]))
-                    stack.pop()
-            else:
-                sizes[n] = 1
-                stack.pop()
-        return sizes[ref]
+        return self._sizes[ref]
 
     # -- plain-tuple interchange --------------------------------------------
 

@@ -123,7 +123,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     n = len(text)
     while pos < n:
         ch = text[pos]
-        blen = len(ch.encode("utf-8"))
+        # a lone surrogate (an undecodable argv byte, say) has no UTF-8
+        # form; surrogatepass measures it instead of raising
+        blen = len(ch.encode("utf-8", "surrogatepass"))
         if ch in " \t\r\n":
             pos += 1
             bpos += blen

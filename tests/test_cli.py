@@ -28,6 +28,10 @@ def test_check_parse_error(capsys):
     assert code == 2
     assert out == ""
     assert "error" in err and "bytes" in err
+    # "\udcff" is how Python decodes the undecodable argv byte 0xff
+    code, out, err = run(capsys, "check", "a", "\udcff")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: right formula: unexpected character") and err.count("\n") == 1
 
 
 def test_normalize(capsys):
@@ -88,8 +92,13 @@ def test_batch_bad_line(tmp_path, capsys):
     assert "line 1" in err and "line 2" in err and "line 3" in err
 
 
-def test_batch_missing_file(capsys):
-    assert run(capsys, "batch", "/no/such/file")[0] == 2
+def test_batch_missing_file(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes("a == \xe9\n".encode("latin-1"))
+    for path in ("/no/such/file", str(not_utf8)):
+        code, out, err = run(capsys, "batch", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bench_tsv(capsys):
@@ -108,8 +117,14 @@ def test_bench_tsv(capsys):
 
 
 def test_bench_bad_range(capsys):
-    code = run(capsys, "bench", "--family", "fig6", "--min-exp", "8", "--max-exp", "4")[0]
-    assert code == 2
+    for bad in (
+        ["--min-exp", "8", "--max-exp", "4"],
+        ["--min-exp", "3", "--max-exp", "4"],  # fewer than five sizes
+        ["--min-exp", "3", "--max-exp", "8", "--reps", "0"],
+    ):
+        code, out, err = run(capsys, "bench", "--family", "fig6", *bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_2(capsys):
@@ -125,6 +140,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "equivalent"
+
+
+def test_cli_imports_only_the_standard_library():
+    # the CLI has no runtime dependencies, so start-up loads none
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ocbsl.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'ocbsl'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
 
 
 def test_normalize_output_parses():

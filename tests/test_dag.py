@@ -1,5 +1,6 @@
 import pytest
 
+from ocbsl import rewrite
 from ocbsl.dag import JOIN, NEG, SIZE_CAP, Arena, ArenaFullError, print_term
 from enum_terms import enumerate_terms
 
@@ -116,9 +117,12 @@ def test_hash_consing_soundness_exhaustive():
 
 
 def test_tree_round_trip():
+    # one arena for all terms, so most sizes are fixed from shared children
     arena = Arena()
     for t in enumerate_terms(5):
-        assert arena.export_tree(arena.intern_tree(t)) == t
+        ref = arena.intern_tree(t)
+        assert arena.export_tree(ref) == t
+        assert arena.tree_size(ref) == rewrite.node_count(t)
 
 
 def test_print_term():

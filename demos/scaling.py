@@ -1,6 +1,6 @@
 """Measure the quasilinear claim and the pitfalls it avoids.
 
-Run:  python3 demos/scaling.py        (about half a minute)
+Run:  python3 demos/scaling.py        (about 5 seconds on 2 CPUs)
 """
 
 import time

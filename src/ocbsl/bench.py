@@ -104,7 +104,10 @@ def run_bench(
     stats: list[Stats] = []
     for e in exponents:
         f = gen_family(family, family_scale(family, 2**e))
-        sizes.append(formula_nodes(f))
+        size = formula_nodes(f)
+        if size in sizes:  # family_scale floors small targets at scale 1
+            raise ValueError(f"exponent {e} repeats size {size}; start from a larger exponent")
+        sizes.append(size)
         laps = []
         session = None
         for _ in range(reps):

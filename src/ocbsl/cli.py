@@ -28,7 +28,7 @@ def _parse_or_report(text: str, label: str) -> "object | None":
     try:
         return parse(text)
     except ParseError as exc:
-        print(f"error: {label}: {exc.message} at bytes {exc.span.start}..{exc.span.end}", file=sys.stderr)
+        print(f"error: {label}: {exc}", file=sys.stderr)
         return None
 
 
@@ -102,7 +102,7 @@ def _cmd_batch(args) -> int:
             lhs = parse(lhs_text)
             rhs = parse(rhs_text)
         except ParseError as exc:
-            print(f"error: line {lineno}: {exc.message} at bytes {exc.span.start}..{exc.span.end}", file=sys.stderr)
+            print(f"error: line {lineno}: {exc}", file=sys.stderr)
             errors += 1
             continue
         same = session.equivalent(to_internal(lhs, arena), to_internal(rhs, arena))
@@ -131,7 +131,7 @@ def _cmd_bench(args) -> int:
             reps=args.reps,
             size_scheduling=not args.no_size_scheduling,
         )
-    except ValueError as exc:  # run_bench rejects too few sizes or reps
+    except ValueError as exc:  # run_bench rejects too few or repeated sizes, or reps < 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(report_tsv(report))

@@ -13,6 +13,15 @@ Grammar (whitespace insignificant)::
     neg     := { "!" | "~" } atom ;
     atom    := ident | "0" | "1" | "(" formula ")" ;
 
+Lexical rules, all ASCII: whitespace is space, tab, CR and LF (nothing
+else, not even a form feed); an ident is ``[A-Za-z_][A-Za-z0-9_]*``; a
+word starting with a digit, ``[0-9][A-Za-z0-9_]*``, is one token and
+must be ``0`` or ``1`` (so ``01`` and ``0a`` are bad tokens); every other
+character is an operator from ``!~&|()`` or unexpected.  When the input
+is rejected, the first lexical error in it is reported if there is one,
+else the first syntax error.  `ParseError` spans are UTF-8 byte offsets,
+computed only then.
+
 Chains of one operator are flattened into a single n-ary node at parse
 time; parenthesised subformulas are kept as written, so ``a | (b | c)``
 parses to a nested disjunction.  Nested joins are only merged later, by
@@ -103,63 +112,46 @@ Formula = Union[Var, Const, Not, And, Or]
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
+# Scanner
+#
+# One match per token, straight from the text: whitespace first, then one
+# of the groups below.  Before the end of the text one of the first three
+# groups always matches, so a scan never skips a character.
 
-_PUNCT = {
-    "!": "not",
-    "~": "not",
-    "&": "and",
-    "|": "or",
-    "(": "lparen",
-    ")": "rparen",
-}
+_NAME, _DIGITS, _CHAR, _END = 1, 2, 3, 4
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:"
+    rf"({_NAME_RE.pattern})"  # a variable name
+    r"|([0-9][A-Za-z0-9_]*)"  # a whole digit word, so "01" and "0a" fail as one token
+    r"|(.)"  # an operator, or an unexpected character
+    r"|(\Z))",  # the end of the text
+    re.DOTALL,
+)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """Return (kind, text, byte_start, byte_end) tokens plus a final eof token."""
-    toks = []
-    pos = 0
-    bpos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        # a lone surrogate (an undecodable argv byte, say) has no UTF-8
-        # form; surrogatepass measures it instead of raising
-        blen = len(ch.encode("utf-8", "surrogatepass"))
-        if ch in " \t\r\n":
-            pos += 1
-            bpos += blen
-            continue
-        kind = _PUNCT.get(ch)
-        if kind is not None:
-            toks.append((kind, ch, bpos, bpos + 1))
-            pos += 1
-            bpos += 1
-            continue
-        if ch.isdigit():
-            # greedily take the whole word so "01" and "0a" fail cleanly
-            j = pos
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[pos:j]
-            bend = bpos + len(word)
-            if word not in ("0", "1"):
-                raise ParseError(f"bad token {word!r}", SourceSpan(bpos, bend))
-            toks.append(("const", word, bpos, bend))
-            pos = j
-            bpos = bend
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m is not None:
-            word = m.group()
-            bend = bpos + len(word)
-            toks.append(("ident", word, bpos, bend))
-            pos = m.end()
-            bpos = bend
-            continue
-        raise ParseError(f"unexpected character {ch!r}", SourceSpan(bpos, bpos + blen))
-    toks.append(("eof", "", bpos, bpos))
-    return toks
+def _error(message: str, text: str, start: int, end: int) -> ParseError:
+    """A ParseError for the characters text[start:end], spanned in UTF-8 bytes."""
+    # a lone surrogate (an undecodable argv byte, say) has no UTF-8 form;
+    # surrogatepass measures it instead of raising
+    bstart, width = (len(part.encode("utf-8", "surrogatepass")) for part in (text[:start], text[start:end]))
+    return ParseError(message, SourceSpan(bstart, bstart + width))
+
+
+def _syntax_error(message: str, text: str, m: re.Match) -> ParseError:
+    """The error for token m, which the grammar does not allow where it stands.
+
+    A token outside the language at m or after it is reported instead, so
+    the first lexical error in the text wins over any syntax error.
+    """
+    for t in _TOKEN_RE.finditer(text, m.start()):
+        kind = t.lastindex
+        word = t[kind]
+        if kind == _DIGITS and word not in ("0", "1"):
+            return _error(f"bad token {word!r}", text, t.start(kind), t.end(kind))
+        if kind == _CHAR and word not in "!~&|()":
+            return _error(f"unexpected character {word!r}", text, t.start(kind), t.end(kind))
+    kind = m.lastindex
+    return _error(message, text, m.start(kind), m.end(kind))
 
 
 # --------------------------------------------------------------------------
@@ -185,47 +177,50 @@ def _finish(frame: list) -> Formula:
 def parse(text: str) -> Formula:
     """Parse a surface formula; raises ParseError with a span on bad input."""
     frame: list = [[], []]
-    stack: list = []  # (frame, pending negations, lparen span)
+    stack: list = []  # (frame, pending negations, offset of the "(")
     negs = 0
     want_operand = True
-    for kind, word, s, e in _tokenize(text):
-        span = SourceSpan(s, e)
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        word = m[kind]
         if want_operand:
-            if kind == "not":
-                negs += 1
-            elif kind == "ident" or kind == "const":
-                node: Formula = Var(word) if kind == "ident" else Const(int(word))
+            if kind == _NAME or word == "0" or word == "1":
+                node: Formula = Var(word) if kind == _NAME else Const(int(word))
                 for _ in range(negs):
                     node = Not(node)
                 negs = 0
                 frame[1].append(node)
                 want_operand = False
-            elif kind == "lparen":
-                stack.append((frame, negs, span))
+            elif word == "!" or word == "~":
+                negs += 1
+            elif word == "(":
+                stack.append((frame, negs, m.start(kind)))
                 frame = [[], []]
                 negs = 0
             else:
-                raise ParseError("expected an operand", span)
+                raise _syntax_error("expected an operand", text, m)
         else:
-            if kind == "and":
+            if word == "&":
                 want_operand = True
-            elif kind == "or":
+            elif word == "|":
                 _close_conj(frame)
                 want_operand = True
-            elif kind == "rparen":
+            elif word == ")":
                 if not stack:
-                    raise ParseError("unmatched ')'", span)
+                    raise _syntax_error("unmatched ')'", text, m)
                 node = _finish(frame)
                 frame, pending, _ = stack.pop()
                 for _ in range(pending):
                     node = Not(node)
                 frame[1].append(node)
-            elif kind == "eof":
+            elif kind == _END:
                 if stack:
-                    raise ParseError("unclosed '('", stack[-1][2])
+                    # the whole text is scanned, so no lexical error remains
+                    lparen = stack[-1][2]
+                    raise _error("unclosed '('", text, lparen, lparen + 1)
                 return _finish(frame)
             else:
-                raise ParseError("expected an operator", span)
+                raise _syntax_error("expected an operator", text, m)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

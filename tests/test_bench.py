@@ -51,6 +51,10 @@ def test_gen_family_validation():
 def test_run_bench_needs_five_points():
     with pytest.raises(ValueError):
         run_bench("fig6", range(4, 7), reps=1)
+    # five exponents but not five sizes: small targets all floor to scale 1
+    for family, exponents in (("fig6", range(0, 6)), ("fig7", range(0, 5))):
+        with pytest.raises(ValueError, match="repeats size"):
+            run_bench(family, exponents, reps=1)
 
 
 def test_run_bench_report():

@@ -121,6 +121,8 @@ def test_bench_bad_range(capsys):
         ["--min-exp", "8", "--max-exp", "4"],
         ["--min-exp", "3", "--max-exp", "4"],  # fewer than five sizes
         ["--min-exp", "3", "--max-exp", "8", "--reps", "0"],
+        ["--min-exp", "0", "--max-exp", "5"],  # sizes repeat
+        ["--family", "fig7", "--min-exp", "0", "--max-exp", "4"],  # all five sizes coincide
     ):
         code, out, err = run(capsys, "bench", "--family", "fig6", *bad)
         assert (code, out) == (2, "")

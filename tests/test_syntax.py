@@ -49,13 +49,6 @@ def test_parse_singleton_parens_collapse():
     assert parse("!(a)") == Not(Var("a"))
 
 
-def test_parse_error_double_operator():
-    with pytest.raises(ParseError) as err:
-        parse("a | | b")
-    assert err.value.span.start == 4
-    assert err.value.span.end == 5
-
-
 @pytest.mark.parametrize(
     "text",
     ["", "a |", "| a", "a &", "(a", "a)", "()", "a b", "01", "0a", "a | 2", "a | \udcff"],
@@ -68,11 +61,31 @@ def test_parse_errors(text):
     assert 0 <= span.start <= span.end <= len(text.encode("utf-8", "surrogatepass"))
 
 
-def test_parse_error_unicode_offsets_are_bytes():
+@pytest.mark.parametrize(
+    "text, message, start, end",
+    [
+        ("a | | b", "expected an operand", 4, 5),
+        ("", "expected an operand", 0, 0),
+        ("a b", "expected an operator", 2, 3),
+        ("(a", "unclosed '('", 0, 1),
+        ("a)", "unmatched ')'", 1, 2),
+        ("01", "bad token '01'", 0, 2),
+        ("a | é", "unexpected character 'é'", 4, 6),  # two UTF-8 bytes
+        ("é", "unexpected character 'é'", 0, 2),
+        ("a\x0cb", "unexpected character '\\x0c'", 1, 2),  # a form feed is not whitespace
+        # only ASCII digits start a digit word, and it holds only ASCII
+        ("a | ٣", "unexpected character '٣'", 4, 6),
+        ("0é", "unexpected character 'é'", 1, 3),
+        # the first lexical error wins over an earlier syntax error
+        ("a b é", "unexpected character 'é'", 4, 6),
+        ("a | | 02", "bad token '02'", 6, 8),
+    ],
+)
+def test_parse_error_messages_and_byte_spans(text, message, start, end):
     with pytest.raises(ParseError) as err:
-        parse("a | é")
-    assert err.value.span.start == 4
-    assert err.value.span.end == 6  # two UTF-8 bytes
+        parse(text)
+    assert (err.value.message, err.value.span.start, err.value.span.end) == (message, start, end)
+    assert str(err.value) == f"{message} at bytes {start}..{end}"
 
 
 def test_deep_parentheses_do_not_overflow():

@@ -1,6 +1,6 @@
 """Benchmark families and the scaling harness.
 
-Two formula families stress the normalizer's cost profile:
+Three formula families stress the normalizer's cost profile:
 
 * fig6 -- a right-nested disjunction chain ``x1 | (x2 | (... | x_{n+2}))``.
   Every join except the innermost has a nested join child, so an engine
@@ -12,7 +12,14 @@ Two formula families stress the normalizer's cost profile:
   become mergeable, so no static preprocessing helps; the smallest-first
   child schedule is what keeps it quasilinear.
 
-Both families normalize to the flat join of their x-variables.
+* a9 -- one wide join of ``a_i`` and ``!(a_i | b_i)`` for i = 1..n.  Every
+  negated child names a join class that A9 must test against the whole
+  child list, yet A9 never fires because no ``b_i`` is present, so the
+  join is irreducible.  A check that scans the child list once per
+  negated child is quadratic.
+
+fig6 and fig7 normalize to the flat join of their x-variables; a9
+normalizes to itself.
 
 `run_bench` times the full pipeline (translate, intern, normalize) per
 size and fits a slope to the log-log (size, median time) points; slope
@@ -32,7 +39,7 @@ from .syntax import Formula, Not, Or, Var, formula_nodes, to_internal
 
 __all__ = ["FAMILIES", "gen_family", "family_scale", "BenchReport", "run_bench", "fit_exponent", "report_tsv"]
 
-FAMILIES = ("fig6", "fig7")
+FAMILIES = ("fig6", "fig7", "a9")
 
 
 def gen_family(family: str, n: int) -> Formula:
@@ -54,6 +61,13 @@ def gen_family(family: str, n: int) -> Formula:
             z = Not(Or((v, Not(v))))
             f = Or((Var(f"x{i}"), Not(Or((z, Not(f))))))
         return f
+    if family == "a9":
+        # a1 | !(a1 | b1) | ... | an | !(an | bn)
+        kids: list[Formula] = []
+        for i in range(1, n + 1):
+            a = Var(f"a{i}")
+            kids += [a, Not(Or((a, Var(f"b{i}"))))]
+        return Or(tuple(kids))
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -63,6 +77,8 @@ def family_scale(family: str, target_nodes: int) -> int:
         return max(1, (target_nodes - 3) // 2)  # nodes = 2n + 3
     if family == "fig7":
         return max(1, (target_nodes - 3) // 10)  # nodes = 10n + 3
+    if family == "a9":
+        return max(1, (target_nodes - 1) // 5)  # nodes = 5n + 1
     raise ValueError(f"unknown family {family!r}")
 
 

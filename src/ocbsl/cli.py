@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-    check <f> <g>      decide equivalence; exit 0 equivalent, 1 not, 2 bad input
+    check <f> <g>      decide equivalence; exit 0 equivalent, 1 not, 2 bad input or out of memory
     normalize <f>      print the canonical internal form of a formula
     batch <file>       check `lhs == rhs` lines, verify expect annotations
     bench ...          time a benchmark family and fit a scaling exponent
@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .bench import FAMILIES, report_tsv, run_bench
-from .dag import Arena, print_term
+from .dag import Arena, ArenaFullError, print_term
 from .normalize import Session
 from .syntax import ParseError, parse, to_internal
 
@@ -177,7 +177,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the contract
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MemoryError, ArenaFullError) as exc:
+        # exit 1 means "not equivalent", so running out of room must not crash into it
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -25,9 +25,15 @@ recursion, so chain-shaped inputs of any depth are fine):
 * a child that already has a code and names a join class is merged by
   splicing its (already sorted) member codes.
 
-Complement detection happens on the merged, sorted, deduplicated code
-list: a pair (2k, 2k+1) must sit adjacent, and a negated join class whose
-member set is contained in the child set annihilates the join to 1.
+Complement detection happens on the merged, sorted, deduplicated list of
+a join's m codes: a pair (2k, 2k+1) must sit adjacent, and a negated join
+class whose member set is contained in the child set annihilates the join
+to 1 (A9).  The A9 check stays linear in the join: the set of its codes is
+built at most once, in O(m), the first time an odd child names a join
+class; one probe then costs |members| of that class, which is at most the
+tree size of the child that brought the code in; and a class with more
+members than the join has codes cannot be a subset, so it is skipped
+unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 """
 
 from __future__ import annotations
@@ -65,9 +71,11 @@ class Stats:
     nodes_visited: int = 0
     memo_hits: int = 0
     codes_allocated: int = 0  # plain/negated pairs
+    merge_work: int = 0  # child codes merged, before deduplication
+    a9_probe_work: int = 0  # member codes probed by the A9 check
 
     def rule_counters(self) -> dict[str, int]:
-        skip = {"nodes_visited", "memo_hits", "codes_allocated"}
+        skip = {"nodes_visited", "memo_hits", "codes_allocated", "merge_work", "a9_probe_work"}
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
@@ -87,19 +95,6 @@ class _JoinFrame:
         self.heap: list[tuple[int, int, int]] = []  # (priority, seq, ref)
         self.seen: set[int] = set()
         self.seq = 0
-
-
-def _sorted_subset(small: tuple[int, ...], big: list[int]) -> bool:
-    """Whether every element of sorted `small` occurs in sorted `big`."""
-    i = 0
-    limit = len(big)
-    for x in small:
-        while i < limit and big[i] < x:
-            i += 1
-        if i >= limit or big[i] != x:
-            return False
-        i += 1
-    return True
 
 
 class Session:
@@ -365,15 +360,17 @@ class Session:
         if ONE_CODE in acc:
             stats.a4_hits += 1
             return (), True
+        join_members = self._join_members
         flat: list[int] = []
         for c in acc:
-            members = self._join_members.get(c)
+            members = join_members.get(c)
             if members is not None:
                 # the child's class is a join: merge its members instead
                 stats.a2_flattens += 1
                 flat.extend(members)
             else:
                 flat.append(c)
+        stats.merge_work += len(flat)
         flat.sort()
         uniq: list[int] = []
         last = -1
@@ -388,13 +385,26 @@ class Session:
             if uniq[i] ^ 1 == uniq[i + 1]:
                 stats.a7_hits += 1
                 return (), True
-        # negated join class whose members all occur among the children
+        # Negated join class whose members all occur among the children.
+        # `present` is built at most once per join, in O(m); one probe
+        # costs |members|, at most the tree size of the child that brought
+        # the code in; a class with more members than m cannot be a subset.
+        m = len(uniq)
+        present = None
+        probed = 0
         for c in uniq:
             if c & 1:
-                members = self._join_members.get(c ^ 1)
-                if members is not None and _sorted_subset(members, uniq):
+                members = join_members.get(c ^ 1)
+                if members is None or len(members) > m:
+                    continue
+                if present is None:
+                    present = set(uniq)
+                probed += len(members)
+                if present.issuperset(members):
                     stats.a9_hits += 1
+                    stats.a9_probe_work += probed
                     return (), True
+        stats.a9_probe_work += probed
         return tuple(uniq), False
 
     def _finish_join(self, fr: _JoinFrame) -> int:

@@ -165,22 +165,25 @@ def test_criterion_5_termination_bound():
 
 def test_criterion_6_quasilinear_scaling():
     # Scheduled runs over sizes 2^10..2^17 must fit a log-log exponent
-    # <= 1.2 for both families; stored-order child processing on fig7 must
-    # degrade to >= 1.7 (measured on 2^12..2^16, inside the same envelope,
-    # to keep the quadratic run affordable).
+    # <= 1.2 for all three families; stored-order child processing on fig7
+    # must degrade to >= 1.7 (measured on 2^12..2^16, inside the same
+    # envelope, to keep the quadratic run affordable).
     start = time.time()
     sched6 = run_bench("fig6", range(10, 18), reps=5)
     sched7 = run_bench("fig7", range(10, 18), reps=5)
+    sched_a9 = run_bench("a9", range(10, 18), reps=5)
     naive7 = run_bench("fig7", range(12, 17), reps=5, size_scheduling=False)
     elapsed = time.time() - start
     assert sched6.fitted_exponent <= 1.2, sched6
     assert sched7.fitted_exponent <= 1.2, sched7
+    assert sched_a9.fitted_exponent <= 1.2, sched_a9
     assert naive7.fitted_exponent >= 1.7, naive7
     assert elapsed <= 300.0
     _report(
         6,
         "quasilinear scaling",
         f"fig6 {sched6.fitted_exponent:.2f}, fig7 {sched7.fitted_exponent:.2f}, "
+        f"a9 {sched_a9.fitted_exponent:.2f}, "
         f"fig7 unscheduled {naive7.fitted_exponent:.2f}, {elapsed:.0f}s",
     )
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ocbsl import Arena, Session, parse, print_formula, to_internal
+from ocbsl import Arena, Session, parse, print_formula, rewrite, semantics, to_internal
 from ocbsl.bench import (
     family_scale,
     fit_exponent,
@@ -8,7 +8,7 @@ from ocbsl.bench import (
     report_tsv,
     run_bench,
 )
-from ocbsl.syntax import formula_nodes
+from ocbsl.syntax import Or, Var, formula_nodes
 
 
 def test_fig6_smallest_instance():
@@ -33,8 +33,33 @@ def test_fig7_normalizes_to_flat_join():
         assert code == s.normalize(to_internal(parse(flat), arena))
 
 
+def test_a9_smallest_instance():
+    assert print_formula(gen_family("a9", 1)) == "a1 | !(a1 | b1)"
+
+
+def test_a9_is_irreducible_and_every_a_counts():
+    # A9 never fires: the join is its own normal form, and dropping any
+    # a_k changes the class (a_k = b_k = 1, the other a = 0 and b = 1
+    # separates them), in the session, the rewrite oracle and semantics
+    for n in range(1, 5):
+        f = gen_family("a9", n)
+        arena = Arena()
+        s = Session(arena)
+        ref = to_internal(f, arena)
+        code = s.normalize(ref)
+        tree = arena.export_tree(ref)
+        assert s.stats.a9_hits == 0 and code != 1
+        assert rewrite.normal_form(tree) == rewrite.canonicalize(tree)
+        for k in range(1, n + 1):
+            kids = tuple(c for c in f.children if c != Var(f"a{k}"))
+            dropped = to_internal(Or(kids), arena)
+            assert s.normalize(dropped) != code
+            assert not rewrite.oracle_equivalent(tree, arena.export_tree(dropped))
+            assert not semantics.boolean_equivalent(arena, ref, dropped)
+
+
 def test_family_scale_hits_target():
-    for family in ("fig6", "fig7"):
+    for family in ("fig6", "fig7", "a9"):
         for target in (64, 1024, 65536):
             n = family_scale(family, target)
             got = formula_nodes(gen_family(family, n))

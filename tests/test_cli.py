@@ -167,3 +167,21 @@ def test_normalize_output_parses():
     )
     assert proc.returncode == 0
     parse(proc.stdout.strip())
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # exit 1 is "not equivalent"; running out of room must not be read as it
+    from ocbsl import ArenaFullError, Session
+
+    path = tmp_path / "pairs.txt"
+    path.write_text("a | b == b | a\n", encoding="utf-8")
+    for exc in (MemoryError(), ArenaFullError("arena limit of 8 nodes reached")):
+        def boom(self, ref, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(Session, "normalize", boom)
+        for argv in (["check", "a", "a"], ["normalize", "a | b"], ["batch", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(exc) in err

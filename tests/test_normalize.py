@@ -223,3 +223,86 @@ def test_counters_for_constant_negation():
     assert s.stats.a10_hits == 1
     s.normalize(arena.neg(arena.one()))
     assert s.stats.a11_hits == 1
+
+
+def _a9_verdict_agrees(s, ref):
+    """Normalize ref; its code is 1 exactly when the rewrite oracle says so."""
+    code = s.normalize(ref)
+    assert (code == ONE_CODE) == rw.oracle_equivalent(s.arena.export_tree(ref), rw.ONE)
+    return code
+
+
+def _wide_join_with_negated_pair(drop_middle: bool):
+    # a, then m_i and !(m_i | w_i) (odd children that never annihilate),
+    # then z, then !(a | z) (or !(a | c | z), c absent from the join);
+    # codes are fixed by normalizing in this order, so a and z sit at the
+    # two ends of the join's codes with the other odd children between
+    # them, and c's code lies between a's and z's
+    arena, s = fresh()
+    a = arena.var("a")
+    c = arena.var("c")
+    kids = [a]
+    s.normalize(a)
+    for i in range(6):
+        m = arena.var(f"m{i}")
+        neg = arena.neg(arena.join((m, arena.var(f"w{i}"))))
+        s.normalize(m)
+        s.normalize(neg)
+        kids += [m, neg]
+        if i == 2:
+            s.normalize(c)
+    z = arena.var("z")
+    s.normalize(z)
+    inner = (a, c, z) if drop_middle else (a, z)
+    kids += [z, arena.neg(arena.join(inner))]
+    return s, arena.join(tuple(kids))
+
+
+def test_a9_fires_on_members_at_both_ends_of_a_wide_join():
+    s, t = _wide_join_with_negated_pair(drop_middle=False)
+    before = s.stats.a9_hits
+    assert _a9_verdict_agrees(s, t) == ONE_CODE
+    assert s.stats.a9_hits - before == 1
+
+
+def test_a9_needs_every_member():
+    s, t = _wide_join_with_negated_pair(drop_middle=True)
+    assert _a9_verdict_agrees(s, t) != ONE_CODE
+    assert s.stats.a9_hits == 0
+    for text in ("a | b | !(a | b | c)", "b | c | !(a | b | c)", "a | !(a | b)"):
+        _, s = fresh()
+        assert _a9_verdict_agrees(s, to_internal(parse(text), s.arena)) != ONE_CODE
+        assert s.stats.a9_hits == 0
+
+
+def test_a9_size_guard_skips_larger_classes():
+    # the negated class has four members, the join only two codes
+    arena, s = fresh()
+    a = arena.var("a")
+    big = arena.join((a, arena.var("b"), arena.var("c"), arena.var("d")))
+    s.normalize(big)
+    t = arena.join((a, arena.neg(big)))
+    assert _a9_verdict_agrees(s, t) != ONE_CODE
+    assert s.stats.a9_hits == 0
+    assert s.stats.a9_probe_work == 0  # skipped unprobed
+    # with every member present the class is probed, and annihilates
+    t = arena.join((a, arena.var("b"), arena.var("c"), arena.var("d"), arena.neg(big)))
+    assert _a9_verdict_agrees(s, t) == ONE_CODE
+    assert s.stats.a9_probe_work == 4
+
+
+def test_a9_work_is_linear_in_surface_nodes():
+    # count-based complexity gate: on the join of a_i and !(a_i | b_i),
+    # merging and A9 probing each cost at most a small constant per node
+    from ocbsl.bench import family_scale, gen_family
+    from ocbsl.syntax import formula_nodes
+
+    for e in range(10, 17):
+        n = family_scale("a9", 2**e)
+        f = gen_family("a9", n)
+        nodes = formula_nodes(f)
+        arena, s = fresh()
+        s.normalize(to_internal(f, arena))
+        assert s.stats.a9_hits == 0
+        assert 0 < s.stats.a9_probe_work <= 2 * nodes, (nodes, s.stats)
+        assert 0 < s.stats.merge_work <= 2 * nodes, (nodes, s.stats)

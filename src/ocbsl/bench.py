@@ -89,7 +89,6 @@ class BenchReport:
     times_ns: list[int]  # median wall-clock per size
     stats: list[Stats]  # session counters of the last repetition per size
     fitted_exponent: float
-    size_scheduling: bool = True
 
 
 def fit_exponent(sizes: list[int], times_ns: list[int]) -> float:
@@ -140,7 +139,6 @@ def run_bench(
         times_ns=medians,
         stats=stats,
         fitted_exponent=fit_exponent(sizes, medians),
-        size_scheduling=size_scheduling,
     )
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    check <f> <g>      decide equivalence; exit 0 equivalent, 1 not, 2 bad input or out of memory
+    check <f> <g>      decide equivalence; exit 0 equivalent, 1 not, 2 bad input, out of memory
+                       or output that cannot be written
     normalize <f>      print the canonical internal form of a formula
     batch <file>       check `lhs == rhs` lines, verify expect annotations
     bench ...          time a benchmark family and fit a scaling exponent
@@ -10,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import FAMILIES, report_tsv, run_bench
@@ -178,11 +180,22 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors, which matches the contract
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a full disk shows here, not after main returns
     except (MemoryError, ArenaFullError) as exc:
         # exit 1 means "not equivalent", so running out of room must not crash into it
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as exc:
+        # stdout refused the output (a full disk, a closed pipe); nor may this read as a verdict
+        if isinstance(exc, BrokenPipeError):
+            # the interpreter flushes stdout once more at exit; send that to nowhere
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -19,11 +19,17 @@ The plain-tuple interchange form used by `intern_tree`/`export_tree` (and
 by the rewrite oracle) is::
 
     ("var", name) | ("0",) | ("1",) | ("not", t) | ("or", (t1, ..., tk))
+
+with k >= 1.  `intern_tree` also takes the surface conjunction
+``("and", (t1, ..., tk))`` of `syntax` and interns it by de Morgan as
+``!(!t1 | ... | !tk)``, so it is the one builder from any formula tree to
+refs; `export_tree` never emits "and".
 """
 
 from __future__ import annotations
 
 import re
+import reprlib
 
 __all__ = [
     "Arena",
@@ -87,7 +93,7 @@ class Arena:
         return ref if ref is not None else self._add(("1",), ONE, None)
 
     def var(self, name: str) -> int:
-        if not _NAME_RE.fullmatch(name):
+        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
             raise ValueError(f"invalid variable name {name!r}")
         key = ("v", name)
         ref = self._memo.get(key)
@@ -169,28 +175,34 @@ class Arena:
     # -- plain-tuple interchange --------------------------------------------
 
     def intern_tree(self, term) -> int:
-        """Intern a plain-tuple term (see module docstring for the shape)."""
+        """Intern a plain-tuple term (see module docstring for the shape).
+
+        Post-order and iterative: a node's children are interned left to
+        right before it, and an "and" interns the negated children left to
+        right, then their join, then its negation.  A malformed tree raises
+        ValueError.
+        """
         stack = [(term, False)]
         vals: list[int] = []
         while stack:
             t, expanded = stack.pop()
-            head = t[0]
+            head = t[0] if type(t) is tuple and t else None
             if not expanded:
-                if head == "var":
+                if head == "var" and len(t) == 2:
                     vals.append(self.var(t[1]))
-                elif head == "0":
+                elif head == "0" and len(t) == 1:
                     vals.append(self.zero())
-                elif head == "1":
+                elif head == "1" and len(t) == 1:
                     vals.append(self.one())
-                elif head == "not":
+                elif head == "not" and len(t) == 2:
                     stack.append((t, True))
                     stack.append((t[1], False))
-                elif head == "or":
+                elif (head == "or" or head == "and") and len(t) == 2 and type(t[1]) is tuple and t[1]:
                     stack.append((t, True))
                     for c in reversed(t[1]):
                         stack.append((c, False))
                 else:
-                    raise ValueError(f"bad term node {t!r}")
+                    raise ValueError(f"bad term node {reprlib.repr(t)}")
             else:
                 if head == "not":
                     vals.append(self.neg(vals.pop()))
@@ -198,7 +210,10 @@ class Arena:
                     k = len(t[1])
                     children = tuple(vals[len(vals) - k :])
                     del vals[len(vals) - k :]
-                    vals.append(self.join(children))
+                    if head == "or":
+                        vals.append(self.join(children))
+                    else:
+                        vals.append(self.neg(self.join(tuple(map(self.neg, children)))))
         return vals[0]
 
     def export_tree(self, ref: int):

@@ -59,17 +59,18 @@ def eval_term(arena: Arena, ref: int, assignment: dict[str, int]) -> int:
 
 def eval_formula(f: syntax.Formula, assignment: dict[str, int]) -> int:
     """Standard Boolean value of a surface formula (and=min, or=max)."""
-    if isinstance(f, syntax.Var):
-        if f.name not in assignment:
-            raise ValueError(f"unbound variable {f.name!r}")
-        return 1 if assignment[f.name] else 0
-    if isinstance(f, syntax.Const):
-        return f.value
-    if isinstance(f, syntax.Not):
-        return 1 - eval_formula(f.child, assignment)
-    if isinstance(f, syntax.And):
-        return min(eval_formula(c, assignment) for c in f.children)
-    return max(eval_formula(c, assignment) for c in f.children)
+    head = f[0]
+    if head == "var":
+        if f[1] not in assignment:
+            raise ValueError(f"unbound variable {f[1]!r}")
+        return 1 if assignment[f[1]] else 0
+    if head == "0" or head == "1":
+        return int(head)
+    if head == "not":
+        return 1 - eval_formula(f[1], assignment)
+    if head == "and":
+        return min(eval_formula(c, assignment) for c in f[1])
+    return max(eval_formula(c, assignment) for c in f[1])
 
 
 def _truth_table(arena: Arena, ref: int, names: list[str]) -> int:

@@ -5,6 +5,14 @@ The surface language has `&`, `|`, `!`/`~`, variables and the constants
 negation; conjunctions are translated away with de Morgan's law
 ``x & y == !(!x | !y)``.
 
+A formula is a plain tuple, the tree shape of `dag` plus a conjunction::
+
+    ("var", name) | ("0",) | ("1",) | ("not", f) | ("or", (f1, ..., fk))
+                  | ("and", (f1, ..., fk))          k >= 1
+
+`Var`, `Const`, `Not`, `And` and `Or` build one and reject a bad name, a
+constant other than 0/1 and an empty child tuple.
+
 Grammar (whitespace insignificant)::
 
     formula := disj ;
@@ -32,7 +40,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 __all__ = [
     "Formula",
@@ -67,48 +74,35 @@ class ParseError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def __post_init__(self):
-        if not _NAME_RE.fullmatch(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
+Formula = tuple  # of the shape in the module docstring
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int  # 0 or 1
-
-    def __post_init__(self):
-        if self.value not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {self.value!r}")
+def Var(name: str) -> Formula:
+    if not _NAME_RE.fullmatch(name):
+        raise ValueError(f"invalid variable name {name!r}")
+    return ("var", name)
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "Formula"
+def Const(value: int) -> Formula:
+    if value not in (0, 1):
+        raise ValueError(f"constant must be 0 or 1, got {value!r}")
+    return ("1",) if value else ("0",)
 
 
-@dataclass(frozen=True)
-class And:
-    children: tuple["Formula", ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("And needs at least one child")
+def Not(child: Formula) -> Formula:
+    return ("not", child)
 
 
-@dataclass(frozen=True)
-class Or:
-    children: tuple["Formula", ...]
-
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("Or needs at least one child")
+def And(children: tuple[Formula, ...]) -> Formula:
+    if not children:
+        raise ValueError("And needs at least one child")
+    return ("and", tuple(children))
 
 
-Formula = Union[Var, Const, Not, And, Or]
+def Or(children: tuple[Formula, ...]) -> Formula:
+    if not children:
+        raise ValueError("Or needs at least one child")
+    return ("or", tuple(children))
 
 
 # --------------------------------------------------------------------------
@@ -164,14 +158,14 @@ def _syntax_error(message: str, text: str, m: re.Match) -> ParseError:
 
 def _close_conj(frame: list) -> None:
     or_parts, and_parts = frame
-    or_parts.append(and_parts[0] if len(and_parts) == 1 else And(tuple(and_parts)))
+    or_parts.append(and_parts[0] if len(and_parts) == 1 else ("and", tuple(and_parts)))
     frame[1] = []
 
 
 def _finish(frame: list) -> Formula:
     _close_conj(frame)
     or_parts = frame[0]
-    return or_parts[0] if len(or_parts) == 1 else Or(tuple(or_parts))
+    return or_parts[0] if len(or_parts) == 1 else ("or", tuple(or_parts))
 
 
 def parse(text: str) -> Formula:
@@ -185,9 +179,10 @@ def parse(text: str) -> Formula:
         word = m[kind]
         if want_operand:
             if kind == _NAME or word == "0" or word == "1":
-                node: Formula = Var(word) if kind == _NAME else Const(int(word))
+                # the scanner has matched the name grammar already
+                node: Formula = ("var", word) if kind == _NAME else (word,)
                 for _ in range(negs):
-                    node = Not(node)
+                    node = ("not", node)
                 negs = 0
                 frame[1].append(node)
                 want_operand = False
@@ -211,7 +206,7 @@ def parse(text: str) -> Formula:
                 node = _finish(frame)
                 frame, pending, _ = stack.pop()
                 for _ in range(pending):
-                    node = Not(node)
+                    node = ("not", node)
                 frame[1].append(node)
             elif kind == _END:
                 if stack:
@@ -227,17 +222,8 @@ def parse(text: str) -> Formula:
 # --------------------------------------------------------------------------
 # Printer
 
-_SEP = {And: " & ", Or: " | "}
-
-
-def _prec(node: Formula) -> int:
-    if isinstance(node, Or):
-        return 1
-    if isinstance(node, And):
-        return 2
-    if isinstance(node, Not):
-        return 3
-    return 4
+_SEP = {"and": " & ", "or": " | "}
+_PREC = {"or": 1, "and": 2, "not": 3, "var": 4, "0": 4, "1": 4}
 
 
 def print_formula(f: Formula) -> str:
@@ -255,23 +241,24 @@ def print_formula(f: Formula) -> str:
             out.append(item)
             continue
         node, threshold = item
-        if _prec(node) <= threshold:
+        head = node[0]
+        if _PREC[head] <= threshold:
             out.append("(")
             stack.append(")")
             stack.append((node, 0))
             continue
-        if isinstance(node, Var):
-            out.append(node.name)
-        elif isinstance(node, Const):
-            out.append(str(node.value))
-        elif isinstance(node, Not):
+        if head == "var":
+            out.append(node[1])
+        elif head == "0" or head == "1":
+            out.append(head)
+        elif head == "not":
             out.append("!")
-            stack.append((node.child, 2))
+            stack.append((node[1], 2))
         else:
             # push right-to-left so children pop in stored order
-            sep = _SEP[type(node)]
+            sep = _SEP[head]
             first = True
-            for child in reversed(node.children):
+            for child in reversed(node[1]):
                 if not first:
                     stack.append(sep)
                 stack.append((child, 2))
@@ -286,10 +273,11 @@ def formula_nodes(f: Formula) -> int:
     while stack:
         node = stack.pop()
         count += 1
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            stack.extend(node.children)
+        head = node[0]
+        if head == "not":
+            stack.append(node[1])
+        elif head == "or" or head == "and":
+            stack.extend(node[1])
     return count
 
 
@@ -300,35 +288,9 @@ def formula_nodes(f: Formula) -> int:
 def to_internal(f: Formula, arena) -> int:
     """Intern f into `arena` with conjunctions removed by de Morgan.
 
-    And[c1..ck] becomes !join(!c1..!ck); Or becomes join; everything else
-    maps directly.  No simplification happens here: double negations and
-    nested joins are kept for the normalizer.
+    ("and", cs) becomes !join(!c1..!ck); "or" becomes join; everything
+    else maps directly (`dag.Arena.intern_tree`).  No simplification
+    happens here: double negations and nested joins are kept for the
+    normalizer.
     """
-    stack: list = [(f, False)]
-    vals: list[int] = []
-    while stack:
-        node, expanded = stack.pop()
-        if not expanded:
-            if isinstance(node, Var):
-                vals.append(arena.var(node.name))
-            elif isinstance(node, Const):
-                vals.append(arena.one() if node.value else arena.zero())
-            elif isinstance(node, Not):
-                stack.append((node, True))
-                stack.append((node.child, False))
-            else:
-                stack.append((node, True))
-                for child in reversed(node.children):
-                    stack.append((child, False))
-        else:
-            if isinstance(node, Not):
-                vals.append(arena.neg(vals.pop()))
-            else:
-                k = len(node.children)
-                children = tuple(vals[len(vals) - k :])
-                del vals[len(vals) - k :]
-                if isinstance(node, Or):
-                    vals.append(arena.join(children))
-                else:
-                    vals.append(arena.neg(arena.join(tuple(arena.neg(c) for c in children))))
-    return vals[0]
+    return arena.intern_tree(f)

@@ -24,12 +24,13 @@ def random_formula(rng, budget, names):
 
 def disturbed(rng, f):
     """An equivalent variant: children permuted, double negations inserted."""
-    if isinstance(f, Not):
-        g = Not(disturbed(rng, f.child))
-    elif isinstance(f, (And, Or)):
-        kids = [disturbed(rng, c) for c in f.children]
+    head = f[0]
+    if head == "not":
+        g = Not(disturbed(rng, f[1]))
+    elif head == "and" or head == "or":
+        kids = [disturbed(rng, c) for c in f[1]]
         rng.shuffle(kids)
-        g = type(f)(tuple(kids))
+        g = (head, tuple(kids))
     else:
         g = f
     if rng.random() < 0.15:

@@ -51,7 +51,7 @@ def test_a9_is_irreducible_and_every_a_counts():
         assert s.stats.a9_hits == 0 and code != 1
         assert rewrite.normal_form(tree) == rewrite.canonicalize(tree)
         for k in range(1, n + 1):
-            kids = tuple(c for c in f.children if c != Var(f"a{k}"))
+            kids = tuple(c for c in f[1] if c != Var(f"a{k}"))
             dropped = to_internal(Or(kids), arena)
             assert s.normalize(dropped) != code
             assert not rewrite.oracle_equivalent(tree, arena.export_tree(dropped))

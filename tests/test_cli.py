@@ -1,5 +1,8 @@
+import os
 import subprocess
 import sys
+
+import pytest
 
 from ocbsl import parse
 from ocbsl.cli import main
@@ -167,6 +170,48 @@ def test_normalize_output_parses():
     )
     assert proc.returncode == 0
     parse(proc.stdout.strip())
+
+
+def _run_cli(argv, stdout):
+    return subprocess.run(
+        [sys.executable, "-m", "ocbsl", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True
+    )
+
+
+def _cli_argvs(tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_text("a | b == b | a\n" * 2000, encoding="utf-8")
+    return [
+        ["check", "a", "a"],
+        ["normalize", "a | b"],
+        ["batch", str(path)],
+        ["bench", "--family", "fig6", "--min-exp", "4", "--max-exp", "8", "--reps", "1"],
+    ]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_output_exits_2(tmp_path):
+    # a full disk must not crash into exit 1, which reads as a verdict
+    for argv in _cli_argvs(tmp_path):
+        with open("/dev/full", "w") as full:
+            proc = _run_cli(argv, full)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, proc.stderr
+
+
+def test_closed_pipe_exits_2(tmp_path):
+    # `ocbsl batch big.txt | head -1`: the reader is gone before the output
+    argv = _cli_argvs(tmp_path)[2]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(argv, write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from ocbsl import rewrite
+from ocbsl import rewrite, to_internal
 from ocbsl.dag import JOIN, NEG, SIZE_CAP, Arena, ArenaFullError, print_term
 from enum_terms import enumerate_terms
 
@@ -123,6 +123,45 @@ def test_tree_round_trip():
         ref = arena.intern_tree(t)
         assert arena.export_tree(ref) == t
         assert arena.tree_size(ref) == rewrite.node_count(t)
+
+
+def test_intern_tree_interns_and_by_de_morgan_in_order():
+    # children, then each negated child left to right, then the join and
+    # its negation: the numbering every code and counter depends on
+    arena = Arena()
+    top = arena.intern_tree(("and", (("var", "a"), ("var", "b"))))
+    assert top == 5 and len(arena) == 6
+    assert arena.export_tree(top) == (
+        "not",
+        ("or", (("not", ("var", "a")), ("not", ("var", "b")))),
+    )
+    assert [arena.kind(n) for n in (2, 3)] == [NEG, NEG]
+    assert arena.join_children(4) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        ("xor", (("var", "a"),)),  # unknown head
+        "a",  # a bare string
+        "0",  # a bare string that reads as a head
+        5,
+        ("or", ()),
+        ("and", ()),
+        ("or", [("var", "a")]),  # children must be a tuple
+        ("var", "1a"),
+        ("var", 5),
+        ("var",),
+        ("not",),
+        ("0", "extra"),
+        ("or", (("var", "a"), "b")),  # malformed below the root
+    ],
+)
+def test_intern_tree_rejects_malformed_trees(tree):
+    with pytest.raises(ValueError):
+        Arena().intern_tree(tree)
+    with pytest.raises(ValueError):
+        to_internal(tree, Arena())
 
 
 def test_print_term():

@@ -4,6 +4,8 @@ import pytest
 
 from ocbsl import Arena, ONE_CODE, Session, ZERO_CODE, neg_of, parse, to_internal
 from ocbsl import rewrite as rw
+from ocbsl.bench import family_scale, gen_family
+from ocbsl.syntax import formula_nodes
 from enum_terms import enumerate_terms
 
 
@@ -291,18 +293,29 @@ def test_a9_size_guard_skips_larger_classes():
     assert s.stats.a9_probe_work == 4
 
 
-def test_a9_work_is_linear_in_surface_nodes():
-    # count-based complexity gate: on the join of a_i and !(a_i | b_i),
-    # merging and A9 probing each cost at most a small constant per node
-    from ocbsl.bench import family_scale, gen_family
-    from ocbsl.syntax import formula_nodes
-
+@pytest.mark.parametrize("family", ["fig6", "fig7", "a9"])
+def test_work_is_linear_in_surface_nodes(family):
+    # count-based complexity gate: on every bench family, merging child
+    # codes and visiting nodes each cost at most a small constant per node
     for e in range(10, 17):
-        n = family_scale("a9", 2**e)
-        f = gen_family("a9", n)
+        f = gen_family(family, family_scale(family, 2**e))
         nodes = formula_nodes(f)
         arena, s = fresh()
         s.normalize(to_internal(f, arena))
-        assert s.stats.a9_hits == 0
-        assert 0 < s.stats.a9_probe_work <= 2 * nodes, (nodes, s.stats)
         assert 0 < s.stats.merge_work <= 2 * nodes, (nodes, s.stats)
+        assert 0 < s.stats.nodes_visited <= 2 * nodes, (nodes, s.stats)
+        if family == "a9":
+            # the join of a_i and !(a_i | b_i): A9 probes every negated
+            # child and never fires
+            assert s.stats.a9_hits == 0
+            assert 0 < s.stats.a9_probe_work <= 2 * nodes, (nodes, s.stats)
+
+
+def test_work_gate_catches_stored_order():
+    # the gate's negative control: without the smallest-first schedule,
+    # fig7 re-merges each growing class (about 21 codes per node)
+    f = gen_family("fig7", family_scale("fig7", 2**12))
+    arena = Arena()
+    s = Session(arena, size_scheduling=False)
+    s.normalize(to_internal(f, arena))
+    assert s.stats.merge_work > 2 * formula_nodes(f), s.stats

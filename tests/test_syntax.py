@@ -19,6 +19,8 @@ from gen import random_formula
 
 
 def test_parse_simple():
+    # a formula is a plain tuple; the constructors build the same tuples
+    assert parse("a | !a & 1") == ("or", (("var", "a"), ("and", (("not", ("var", "a")), ("1",)))))
     assert parse("a | !a") == Or((Var("a"), Not(Var("a"))))
     assert parse("a & b") == And((Var("a"), Var("b")))
     assert parse("~a") == Not(Var("a"))
@@ -137,12 +139,12 @@ def _expected_internal_size(f):
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Not):
-            stack.append(node.child)
-        elif isinstance(node, (And, Or)):
-            if isinstance(node, And):
-                total += 1 + len(node.children)
-            stack.extend(node.children)
+        if node[0] == "not":
+            stack.append(node[1])
+        elif node[0] in ("and", "or"):
+            if node[0] == "and":
+                total += 1 + len(node[1])
+            stack.extend(node[1])
     return total
 
 

@@ -79,7 +79,7 @@ def _split_batch_line(line: str) -> tuple[str, str, str | None] | None:
 
 def _cmd_batch(args) -> int:
     try:
-        with open(args.path, encoding="utf-8") as fh:
+        with open(args.path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

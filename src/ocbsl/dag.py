@@ -50,7 +50,13 @@ VAR, ZERO, ONE, NEG, JOIN = range(5)
 # schedule for absurdly large subtrees, never correctness.
 SIZE_CAP = 2**64 - 1
 
+# A variable name; `syntax` scans names with this pattern too.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _check_name(name: str) -> None:
+    if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+        raise ValueError(f"invalid variable name {name!r}")
 
 
 class ArenaFullError(RuntimeError):
@@ -93,8 +99,7 @@ class Arena:
         return ref if ref is not None else self._add(("1",), ONE, None)
 
     def var(self, name: str) -> int:
-        if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
-            raise ValueError(f"invalid variable name {name!r}")
+        _check_name(name)
         key = ("v", name)
         ref = self._memo.get(key)
         return ref if ref is not None else self._add(key, VAR, name)

@@ -9,36 +9,39 @@ Codes come in plain/negated pairs: a class gets an even code 2k and its
 complement 2k+1, so negating a coded term is one XOR.  Codes 0 and 1 are
 reserved for the constants, which makes `!0 = 1` and `!1 = 0` structural.
 
-The traversal is a single fused pass, iterative throughout (no Python
-recursion, so chain-shaped inputs of any depth are fine):
+The traversal is a single fused pass: one loop over one stack, which
+holds the negations waiting for their child's code and the join frames
+being filled.  It is iterative throughout (no Python recursion, so
+chain-shaped inputs of any depth are fine):
 
 * join children are deduplicated by handle and syntactically nested joins
   are spliced in before any child is normalized, so static nesting costs
   one visit per node;
-* children are normalized smallest subtree first, deferring the largest;
-  when everything else of a join reduces to 0 the join is replaced by its
-  last child *structurally* (never coded), double negations at the seam
-  are stripped and revealed joins spliced into the enclosing frame.  This
-  keeps dynamically revealed nesting out of the coded cascade: the work
-  wasted on a mis-ordered child is bounded by half the subtree, giving a
-  quasilinear total;
+* each join frame queues its children by expanded tree size and
+  normalizes the smallest first, deferring the largest; when everything
+  else of a join reduces to 0 the join is replaced by its last child
+  *structurally* (never coded), a double negation at the seam is stripped
+  and a revealed join is spliced into the enclosing frame.  This keeps
+  dynamically revealed nesting out of the coded cascade: the work wasted
+  on a mis-ordered child is bounded by half the subtree, giving a
+  quasilinear total in n, the size of the *expanded tree*.  It is not
+  quasilinear in DAG size: a nested join shared by k parents is spliced
+  and merged again under each of them;
 * a child that already has a code and names a join class is merged by
   splicing its (already sorted) member codes.
 
-Complement detection happens on the merged, sorted, deduplicated list of
-a join's m codes: a pair (2k, 2k+1) must sit adjacent, and a negated join
-class whose member set is contained in the child set annihilates the join
-to 1 (A9).  The A9 check stays linear in the join: the set of its codes is
-built at most once, in O(m), the first time an odd child names a join
-class; one probe then costs |members| of that class, which is at most the
-tree size of the child that brought the code in; and a class with more
+Complement detection happens on the set of a join's m merged codes: a
+pair (2k, 2k+1) shares the class number k, and a negated join class
+whose member set is contained in the child set annihilates the join to 1
+(A9).  The A9 check stays linear in the join: the set is built once, in
+O(m); one probe costs |members| of that class, which is at most the tree
+size of the child that brought the code in; and a class with more
 members than the join has codes cannot be a subset, so it is skipped
 unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, fields
 
 from .dag import Arena, JOIN, NEG, ONE, VAR, ZERO
@@ -79,22 +82,14 @@ class Stats:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
-class _NegFrame:
-    __slots__ = ("node",)
-
-    def __init__(self, node: int):
-        self.node = node
-
-
 class _JoinFrame:
-    __slots__ = ("node", "acc", "heap", "seen", "seq")
+    __slots__ = ("node", "acc", "todo", "seen")
 
     def __init__(self, node: int):
         self.node = node
         self.acc: list[int] = []  # nonzero codes of finished children
-        self.heap: list[tuple[int, int, int]] = []  # (priority, seq, ref)
+        self.todo: list[int] = []  # children still to normalize, smallest last
         self.seen: set[int] = set()
-        self.seq = 0
 
 
 class Session:
@@ -103,11 +98,12 @@ class Session:
     Codes are meaningless outside their session.  A session is
     single-writer; independent sessions may run in parallel.
 
-    size_scheduling=False disables the smallest-first child order and the
-    structural collapse of all-but-one-zero joins (children are then taken
-    in stored order and every join is coded).  Verdicts are unchanged;
-    only the cost profile degrades.  Exists so the degradation is
-    measurable.
+    Each join's children, with nested joins spliced in place, are
+    normalized smallest expanded tree first, ties in stored order.
+    size_scheduling=False disables that order and the structural collapse
+    of all-but-one-zero joins (children are then taken in stored order and
+    every join is coded).  Verdicts are unchanged; only the cost profile
+    degrades.  Exists so the degradation is measurable.
     """
 
     def __init__(self, arena: Arena, size_scheduling: bool = True):
@@ -147,13 +143,7 @@ class Session:
             self.stats.memo_hits += 1
             return code
         self.arena._check(ref)
-        code = self._run(ref)
-        self._node_codes[ref] = code
-        return code
-
-    def process_join(self, children: list[int]) -> int:
-        """Code of the join of `children` (interned, then normalized)."""
-        return self.normalize(self.arena.join(tuple(children)))
+        return self._run(ref)
 
     def equivalent(self, a: int, b: int) -> bool:
         """Whether a and b are equal under the rewrite rules."""
@@ -203,163 +193,147 @@ class Session:
 
     # -- the fused pass ----------------------------------------------------------
 
-    def _receive(self, fr: _JoinFrame, ref: int, strip: bool) -> None:
-        """Add a child term to a join frame.
+    # Each join frame's `todo` is kept sorted by tree size, largest first,
+    # so `pop()` takes the smallest child.  A batch is sorted once, stably,
+    # when it arrives, so equal sizes keep their arrival order.  Batches
+    # arrive in two ways: all children at once when the frame opens, or
+    # later as the seam of a collapsed child.  A seam is a proper subterm
+    # of a child that was popped as the smallest, so it is strictly smaller
+    # than everything still queued, and appending it keeps the order.  The
+    # one exception is sizes saturated at SIZE_CAP, whose order is lost
+    # anyway (see `dag.SIZE_CAP`).
 
-        Strips double negations when the term arrives through a collapse
-        seam, splices not-yet-coded joins, and drops handle-level
-        duplicates.  Iterative: splicing a chain must not recurse.
+    def _receive(self, fr: _JoinFrame, refs: tuple[int, ...]) -> None:
+        """Queue child terms in a join frame.
+
+        Splices not-yet-coded joins and drops handle-level duplicates.
+        Iterative: splicing a chain must not recurse.
         """
         arena = self.arena
         stats = self.stats
         node_codes = self._node_codes
-        if strip:
-            while arena.kind(ref) == NEG:
-                child = arena.neg_child(ref)
-                if arena.kind(child) != NEG:
-                    break
-                stats.a6_strips += 1
-                ref = arena.neg_child(child)
-        scheduling = self.size_scheduling
-        work = [ref]
+        seen = fr.seen
+        batch: list[int] = []
+        work = list(reversed(refs))
         while work:
             r = work.pop()
-            if r in fr.seen:
+            if r in seen:
                 stats.a3_dedups += 1
                 continue
-            fr.seen.add(r)
+            seen.add(r)
             if arena.kind(r) == JOIN and r not in node_codes:
                 stats.a2_flattens += 1
                 work.extend(reversed(arena.join_children(r)))
-                continue
-            priority = arena.tree_size(r) if scheduling else 0
-            heapq.heappush(fr.heap, (priority, fr.seq, r))
-            fr.seq += 1
+            else:
+                batch.append(r)
+        if self.size_scheduling:
+            batch.sort(key=arena.tree_size)
+        batch.reverse()
+        fr.todo += batch
 
     def _run(self, root: int) -> int:
         arena = self.arena
         stats = self.stats
         node_codes = self._node_codes
-        stack: list = []
-        current: int | None = root  # term waiting to be resolved
-        code: int | None = None  # finished code waiting to be delivered
+        scheduling = self.size_scheduling
+        stack: list = []  # negation refs awaiting their child's code, and join frames
+        current = root  # term waiting to be resolved
 
         while True:
-            # Resolve phase: turn `current` into a code or a frame.
-            while current is not None:
-                known = node_codes.get(current)
-                if known is not None:
-                    stats.memo_hits += 1
-                    code = known
-                    current = None
-                    break
-                kind = arena.kind(current)
+            # Resolve `current` into a code, or push a frame for it.
+            code = node_codes.get(current)
+            if code is not None:
+                stats.memo_hits += 1
+            else:
                 stats.nodes_visited += 1
-                if kind == ZERO:
-                    node_codes[current] = code = ZERO_CODE
-                    current = None
-                elif kind == ONE:
-                    node_codes[current] = code = ONE_CODE
-                    current = None
-                elif kind == VAR:
-                    node_codes[current] = code = self._var_code(current)
-                    current = None
-                elif kind == NEG:
+                kind = arena.kind(current)
+                if kind == NEG:
                     child = arena.neg_child(current)
                     if arena.kind(child) == NEG:
                         stats.a6_strips += 1
                         current = arena.neg_child(child)
-                        continue
-                    stack.append(_NegFrame(current))
-                    current = child
-                else:
+                    else:
+                        stack.append(current)
+                        current = child
+                    continue
+                if kind == JOIN:
                     fr = _JoinFrame(current)
                     stack.append(fr)
-                    for ch in arena.join_children(current):
-                        self._receive(fr, ch, strip=False)
-                    code = None
-                    current = None
-
-            # Deliver any finished code into the enclosing frame.
-            if code is not None:
-                if not stack:
-                    node_codes[root] = code
-                    return code
-                top = stack[-1]
-                if isinstance(top, _NegFrame):
-                    c = code
-                    if c == ZERO_CODE:
-                        stats.a10_hits += 1
-                    elif c == ONE_CODE:
-                        stats.a11_hits += 1
-                    result = c ^ 1
-                    node_codes[top.node] = result
-                    stack.pop()
-                    code = result
-                    continue
-                if code == ZERO_CODE:
-                    stats.a5_drops += 1
+                    self._receive(fr, arena.join_children(current))
                 else:
-                    top.acc.append(code)
-                code = None
+                    if kind == ZERO:
+                        code = ZERO_CODE
+                    elif kind == ONE:
+                        code = ONE_CODE
+                    else:
+                        code = self._var_code(current)
+                    node_codes[current] = code
 
-            # Advance the innermost join frame.
-            fr = stack[-1]
-            assert isinstance(fr, _JoinFrame)
-            if fr.heap:
-                if self.size_scheduling and not fr.acc and len(fr.heap) == 1:
+            # Deliver codes and advance join frames until a term needs resolving.
+            current = None
+            while current is None:
+                if code is not None:
+                    if not stack:
+                        node_codes[root] = code
+                        return code
+                    top = stack[-1]
+                    if type(top) is int:  # a negation
+                        if code == ZERO_CODE:
+                            stats.a10_hits += 1
+                        elif code == ONE_CODE:
+                            stats.a11_hits += 1
+                        code ^= 1
+                        node_codes[top] = code
+                        stack.pop()
+                        continue
+                    if code == ZERO_CODE:
+                        stats.a5_drops += 1
+                    else:
+                        top.acc.append(code)
+                    code = None
+                fr = stack[-1]
+                todo = fr.todo
+                if not todo:
+                    code = self._finish_join(fr.acc)
+                    node_codes[fr.node] = code
+                    stack.pop()
+                elif scheduling and not fr.acc and len(todo) == 1:
                     # Everything processed so far vanished: the join *is*
                     # its one remaining (largest) child.  Hand the child up
-                    # structurally instead of coding this join.
+                    # structurally instead of coding this join.  A
+                    # negation's child is never a negation, so the seam
+                    # climbs past at most one negation.
                     stats.a2b_collapses += 1
-                    seam = fr.heap[0][2]
+                    seam = todo[0]
                     stack.pop()
-                    current = self._propagate_term(stack, seam)
-                    continue
-                current = heapq.heappop(fr.heap)[2]
-                continue
-            code = self._finish_join(fr)
-            node_codes[fr.node] = code
-            stack.pop()
+                    if stack and type(stack[-1]) is int and arena.kind(seam) == NEG:
+                        stats.a6_strips += 1
+                        seam = arena.neg_child(seam)
+                        stack.pop()
+                    if not stack or type(stack[-1]) is int:
+                        current = seam  # resolved in place, under the negation if one is left
+                    else:
+                        while arena.kind(seam) == NEG:
+                            child = arena.neg_child(seam)
+                            if arena.kind(child) != NEG:
+                                break
+                            stats.a6_strips += 1
+                            seam = arena.neg_child(child)
+                        self._receive(stack[-1], (seam,))
+                else:
+                    current = todo.pop()
 
-    def _propagate_term(self, stack: list, term: int) -> int | None:
-        """Deliver a structural reduction to the innermost frame.
+    def _finish_join(self, acc: list[int]) -> int:
+        """Code of a join whose children have the nonzero codes `acc`.
 
-        A negation over a collapsed join may itself dissolve (double
-        negation), so the term can climb several frames before it either
-        joins a frame's child list (return None) or must be normalized in
-        place (returned for the resolve phase).
-        """
-        arena = self.arena
-        stats = self.stats
-        while True:
-            if not stack:
-                return term
-            top = stack[-1]
-            if isinstance(top, _NegFrame):
-                if arena.kind(term) == NEG:
-                    stats.a6_strips += 1
-                    term = arena.neg_child(term)
-                    stack.pop()
-                    continue
-                # genuinely negated term: resolve it, the frame stays
-                return term
-            self._receive(top, term, strip=True)
-            return None
-
-    # -- merging child codes -------------------------------------------------
-
-    def _merge_child_codes(self, acc: list[int]) -> tuple[tuple[int, ...], bool]:
-        """Flatten, sort, deduplicate and annihilation-check child codes.
-
-        Returns (codes, annihilated).  When not annihilated, codes are
-        strictly increasing and contain neither constant code.  Zeros were
-        already dropped when the children were delivered.
+        Merges the members of child join classes, deduplicates, and
+        checks for annihilation (A4, A7, A9) before looking up or
+        allocating the class of the remaining codes.
         """
         stats = self.stats
         if ONE_CODE in acc:
             stats.a4_hits += 1
-            return (), True
+            return ONE_CODE
         join_members = self._join_members
         flat: list[int] = []
         for c in acc:
@@ -371,50 +345,31 @@ class Session:
             else:
                 flat.append(c)
         stats.merge_work += len(flat)
-        flat.sort()
-        uniq: list[int] = []
-        last = -1
-        for c in flat:
-            if c != last:
-                uniq.append(c)
-                last = c
-            else:
-                stats.a3_dedups += 1
-        # complement pair: (2k, 2k+1) must be adjacent once sorted and unique
-        for i in range(len(uniq) - 1):
-            if uniq[i] ^ 1 == uniq[i + 1]:
-                stats.a7_hits += 1
-                return (), True
+        present = set(flat)
+        stats.a3_dedups += len(flat) - len(present)
+        # complement pair: (2k, 2k+1) share the class number k
+        if len({c >> 1 for c in present}) < len(present):
+            stats.a7_hits += 1
+            return ONE_CODE
+        codes = tuple(sorted(present))
         # Negated join class whose members all occur among the children.
-        # `present` is built at most once per join, in O(m); one probe
-        # costs |members|, at most the tree size of the child that brought
-        # the code in; a class with more members than m cannot be a subset.
-        m = len(uniq)
-        present = None
-        probed = 0
-        for c in uniq:
+        # One probe costs |members|, at most the tree size of the child
+        # that brought the code in; a class with more members than the
+        # join has codes cannot be a subset.
+        m = len(codes)
+        for c in codes:
             if c & 1:
                 members = join_members.get(c ^ 1)
                 if members is None or len(members) > m:
                     continue
-                if present is None:
-                    present = set(uniq)
-                probed += len(members)
+                stats.a9_probe_work += len(members)
                 if present.issuperset(members):
                     stats.a9_hits += 1
-                    stats.a9_probe_work += probed
-                    return (), True
-        stats.a9_probe_work += probed
-        return tuple(uniq), False
-
-    def _finish_join(self, fr: _JoinFrame) -> int:
-        codes, annihilated = self._merge_child_codes(fr.acc)
-        if annihilated:
-            return ONE_CODE
+                    return ONE_CODE
         if not codes:
             return ZERO_CODE
-        if len(codes) == 1:
-            self.stats.a2b_collapses += 1
+        if m == 1:
+            stats.a2b_collapses += 1
             return codes[0]
         sig = ("j", codes)
         code = self._codes.get(sig)

@@ -41,6 +41,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .dag import _NAME_RE, _check_name
+
 __all__ = [
     "Formula",
     "Var",
@@ -55,8 +57,6 @@ __all__ = [
     "formula_nodes",
     "to_internal",
 ]
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,7 @@ Formula = tuple  # of the shape in the module docstring
 
 
 def Var(name: str) -> Formula:
-    if not _NAME_RE.fullmatch(name):
-        raise ValueError(f"invalid variable name {name!r}")
+    _check_name(name)
     return ("var", name)
 
 

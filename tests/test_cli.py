@@ -95,6 +95,15 @@ def test_batch_bad_line(tmp_path, capsys):
     assert "line 1" in err and "line 2" in err and "line 3" in err
 
 
+def test_batch_accepts_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "pairs.txt"
+    path.write_text("a | b == b | a  # expect: eq\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, err = run(capsys, "batch", str(path))
+    assert (code, err) == (0, "")
+    assert "1 checked, 1 equivalent, 0 violations, 0 errors" in out
+
+
 def test_batch_missing_file(tmp_path, capsys):
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes("a == \xe9\n".encode("latin-1"))

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from ocbsl import Arena, ONE_CODE, Session, ZERO_CODE, neg_of, parse, to_internal
+from ocbsl import Arena, ONE_CODE, Session, Stats, ZERO_CODE, neg_of, parse, print_term, to_internal
 from ocbsl import rewrite as rw
 from ocbsl.bench import family_scale, gen_family
 from ocbsl.syntax import formula_nodes
@@ -83,11 +84,11 @@ def test_commutativity():
 def test_process_join():
     arena, s = fresh()
     a, b = arena.var("a"), arena.var("b")
-    assert s.process_join([arena.zero(), a]) == s.normalize(a)
-    assert s.process_join([arena.one(), a, b]) == 1
-    assert s.process_join([a, a, b]) == s.process_join([a, b])
+    assert s.normalize(arena.join((arena.zero(), a))) == s.normalize(a)
+    assert s.normalize(arena.join((arena.one(), a, b))) == 1
+    assert s.normalize(arena.join((a, a, b))) == s.normalize(arena.join((a, b)))
     ab = arena.join((a, b))
-    assert s.process_join([a, b, arena.neg(ab)]) == 1
+    assert s.normalize(arena.join((a, b, arena.neg(ab)))) == 1
 
 
 def test_negated_subjoin_after_revealing_double_negation():
@@ -103,7 +104,7 @@ def test_join_class_members():
     arena, s = fresh()
     a, b = arena.var("a"), arena.var("b")
     ca, cb = s.normalize(a), s.normalize(b)
-    cab = s.process_join([b, a])
+    cab = s.normalize(arena.join((b, a)))
     assert s.join_class_members(cab) == tuple(sorted((ca, cb)))
     assert s.join_class_members(ca) is None
     assert s.join_class_members(0) is None
@@ -215,8 +216,8 @@ def test_scheduling_skips_intermediate_classes():
 def test_zero_only_joins():
     arena, s = fresh()
     z = arena.zero()
-    assert s.process_join([z, z]) == 0
-    assert s.process_join([z]) == 0
+    assert s.normalize(arena.join((z, z))) == 0
+    assert s.normalize(arena.join((z,))) == 0
 
 
 def test_counters_for_constant_negation():
@@ -311,6 +312,22 @@ def test_work_is_linear_in_surface_nodes(family):
             assert 0 < s.stats.a9_probe_work <= 2 * nodes, (nodes, s.stats)
 
 
+@pytest.mark.xfail(strict=True, reason="a shared nested join is spliced and merged again by every parent")
+def test_work_is_quasilinear_in_dag_size_on_a_shared_tail():
+    # n parents !(y_k | T) share one fig6 tail T of n variables, all under
+    # one join: about 5n DAG nodes, but every parent splices T again and
+    # stores its n members, so a2_flattens and merge_work are each about n^2
+    n = 2**10
+    arena, s = fresh()
+    tail = arena.var(f"x{n}")
+    for i in range(n - 1, 0, -1):
+        tail = arena.join((arena.var(f"x{i}"), tail))
+    parents = [arena.neg(arena.join((arena.var(f"y{k}"), tail))) for k in range(n)]
+    s.normalize(arena.join(tuple(parents)))
+    size = len(arena)
+    assert s.stats.a2_flattens + s.stats.merge_work <= size * math.log2(size) ** 2, (size, s.stats)
+
+
 def test_work_gate_catches_stored_order():
     # the gate's negative control: without the smallest-first schedule,
     # fig7 re-merges each growing class (about 21 codes per node)
@@ -319,3 +336,69 @@ def test_work_gate_catches_stored_order():
     s = Session(arena, size_scheduling=False)
     s.normalize(to_internal(f, arena))
     assert s.stats.merge_work > 2 * formula_nodes(f), s.stats
+
+
+_FIG6_N = family_scale("fig6", 2**10)
+_FIG7_N = family_scale("fig7", 2**10)
+_A9_N = family_scale("a9", 2**10)
+_FIG6_NF = " | ".join(f"x{i}" for i in range(1, _FIG6_N + 3))
+_FIG7_NF = " | ".join(f"x{i}" for i in range(1, _FIG7_N + 3))
+_A9_NF = " | ".join([f"a{i}" for i in range(1, _A9_N + 1)] + [f"!(a{i} | b{i})" for i in range(1, _A9_N + 1)])
+
+
+# Every Stats field and the printed normal form, pinned so that a rewrite
+# of the fused pass cannot move a counter or the order codes are assigned
+# in.  Fields not listed are 0.
+@pytest.mark.parametrize(
+    "formula, scheduling, printed, counters",
+    [
+        pytest.param(
+            gen_family("fig6", _FIG6_N), True, _FIG6_NF,
+            dict(a2_flattens=510, nodes_visited=513, codes_allocated=513, merge_work=512),
+            id="fig6",
+        ),
+        pytest.param(
+            gen_family("fig7", _FIG7_N), True, _FIG7_NF,
+            dict(a2_flattens=102, a2b_collapses=102, a5_drops=102, a6_strips=101, a7_hits=102, a11_hits=102,
+                 nodes_visited=719, memo_hits=102, codes_allocated=208, merge_work=311),
+            id="fig7",
+        ),
+        pytest.param(
+            gen_family("a9", _A9_N), True, _A9_NF,
+            dict(nodes_visited=817, memo_hits=204, codes_allocated=613, merge_work=816, a9_probe_work=408),
+            id="a9",
+        ),
+        # equal-size children are coded in stored order
+        pytest.param(
+            parse("b | a"), True, "b | a",
+            dict(nodes_visited=3, codes_allocated=3, merge_work=2),
+            id="equal-sizes",
+        ),
+        # the seam b | c | d | e cancels one negation and becomes the root
+        pytest.param(
+            parse("!(!(a | !a) | !(b | c | d | e))"), True, "b | c | d | e",
+            dict(a2b_collapses=1, a5_drops=1, a6_strips=1, a7_hits=1, a11_hits=1,
+                 nodes_visited=11, memo_hits=1, codes_allocated=6, merge_work=6),
+            id="seam-is-root",
+        ),
+        # the seam crosses a negation, loses `!!` and is spliced into the root join
+        pytest.param(
+            parse("x | !(!(a | !a) | !!!(b | c | d | e))"), True, "x | b | c | d | e",
+            dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=2, a7_hits=1, a11_hits=1,
+                 nodes_visited=12, memo_hits=1, codes_allocated=7, merge_work=7),
+            id="seam-spliced",
+        ),
+        pytest.param(
+            gen_family("fig7", _FIG7_N), False, _FIG7_NF,
+            dict(a2_flattens=102, a2b_collapses=102, a5_drops=102, a7_hits=102, a11_hits=102,
+                 nodes_visited=921, memo_hits=102, codes_allocated=309, merge_work=5765),
+            id="fig7-stored-order",
+        ),
+    ],
+)
+def test_golden_stats_and_normal_form(formula, scheduling, printed, counters):
+    arena = Arena()
+    s = Session(arena, size_scheduling=scheduling)
+    code = s.normalize(to_internal(formula, arena))
+    assert vars(s.stats) == vars(Stats(**counters))
+    assert print_term(arena, s.extract_normal_form(code)) == printed

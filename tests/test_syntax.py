@@ -163,6 +163,9 @@ def test_formula_validation():
         Var("0")
     with pytest.raises(ValueError):
         Var("not ok")
+    for name in (5, None):
+        with pytest.raises(ValueError, match="invalid variable name"):
+            Var(name)
     with pytest.raises(ValueError):
         Const(2)
     with pytest.raises(ValueError):

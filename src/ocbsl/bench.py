@@ -104,7 +104,7 @@ def run_bench(
     reps: int = 5,
     size_scheduling: bool = True,
 ) -> BenchReport:
-    """Time normalization of family instances sized near 2**e for each e.
+    """Time `to_internal` plus `normalize` of family instances sized near 2**e.
 
     Each size is timed `reps` times on fresh arenas; the median damps
     allocator noise.  Formula construction is not timed.

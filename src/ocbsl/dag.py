@@ -1,11 +1,12 @@
 """Hash-consed DAG of internal terms.
 
 Internal terms are built from variables, the constants 0 and 1, negation,
-and one n-ary join.  An Arena interns every node: structurally identical
-subterms resolve to the same integer handle (TermRef), so terms with heavy
-sharing stay small even when the fully expanded tree is astronomically
-large.  Children of a join are kept in stored order here; commutativity is
-the normalizer's business.
+and one n-ary join.  An Arena interns every node by content: a node's
+payload (its name, child ref, child tuple, or "0"/"1" for a constant) is
+its memo key, so structurally identical subterms resolve to the same
+integer handle (TermRef), and terms with heavy sharing stay small even
+when the fully expanded tree is astronomically large.  Children of a join
+are kept in stored order here; commutativity is the normalizer's business.
 
 Refs are handed out in append order, and a node can only be interned
 after its children exist, so every child has a smaller ref than its
@@ -72,45 +73,49 @@ class Arena:
 
     def __init__(self, max_nodes: int | None = None):
         self._kinds: list[int] = []
-        self._payload: list = []  # name | child ref | tuple of child refs | None
-        self._memo: dict = {}
+        # Payloads are the memo keys.  Keys of different kinds cannot
+        # collide: refs are ints, children are tuples, and names are
+        # strings that `_check_name` never lets read "0" or "1".
+        self._payload: list = []
+        self._memo: dict = {}  # payload -> ref
         self._sizes: list[int] = []  # expanded tree size, saturating at SIZE_CAP
         self._max_nodes = max_nodes
 
     def __len__(self) -> int:
         return len(self._kinds)
 
-    def _add(self, key, kind: int, payload, size: int = 1) -> int:
-        if self._max_nodes is not None and len(self._kinds) >= self._max_nodes:
-            raise ArenaFullError(f"arena limit of {self._max_nodes} nodes reached")
+    def _intern(self, kind: int, payload) -> int:
+        """Ref of the node with this payload, appended if new; payload unchecked."""
+        ref = self._memo.get(payload)
+        if ref is not None:
+            return ref
         ref = len(self._kinds)
+        if self._max_nodes is not None and ref >= self._max_nodes:
+            raise ArenaFullError(f"arena limit of {self._max_nodes} nodes reached")
+        size = 1
+        if kind == NEG:
+            size += self._sizes[payload]
+        elif kind == JOIN:
+            size += sum(map(self._sizes.__getitem__, payload))
         self._kinds.append(kind)
         self._payload.append(payload)
-        self._sizes.append(size)
-        self._memo[key] = ref
+        self._sizes.append(min(SIZE_CAP, size))
+        self._memo[payload] = ref
         return ref
 
     def zero(self) -> int:
-        ref = self._memo.get(("0",))
-        return ref if ref is not None else self._add(("0",), ZERO, None)
+        return self._intern(ZERO, "0")
 
     def one(self) -> int:
-        ref = self._memo.get(("1",))
-        return ref if ref is not None else self._add(("1",), ONE, None)
+        return self._intern(ONE, "1")
 
     def var(self, name: str) -> int:
         _check_name(name)
-        key = ("v", name)
-        ref = self._memo.get(key)
-        return ref if ref is not None else self._add(key, VAR, name)
+        return self._intern(VAR, name)
 
     def neg(self, child: int) -> int:
         self._check(child)
-        key = ("n", child)
-        ref = self._memo.get(key)
-        if ref is not None:
-            return ref
-        return self._add(key, NEG, child, min(SIZE_CAP, 1 + self._sizes[child]))
+        return self._intern(NEG, child)
 
     def join(self, children: tuple[int, ...]) -> int:
         children = tuple(children)
@@ -118,12 +123,7 @@ class Arena:
             raise ValueError("join needs at least one child")
         for c in children:
             self._check(c)
-        key = ("j", children)
-        ref = self._memo.get(key)
-        if ref is not None:
-            return ref
-        size = 1 + sum(map(self._sizes.__getitem__, children))
-        return self._add(key, JOIN, children, min(SIZE_CAP, size))
+        return self._intern(JOIN, children)
 
     def _check(self, ref: int) -> None:
         if not (isinstance(ref, int) and 0 <= ref < len(self._kinds)):
@@ -187,6 +187,7 @@ class Arena:
         right, then their join, then its negation.  A malformed tree raises
         ValueError.
         """
+        intern = self._intern  # refs on `vals` came from it, so skip `_check`
         stack = [(term, False)]
         vals: list[int] = []
         while stack:
@@ -195,10 +196,8 @@ class Arena:
             if not expanded:
                 if head == "var" and len(t) == 2:
                     vals.append(self.var(t[1]))
-                elif head == "0" and len(t) == 1:
-                    vals.append(self.zero())
-                elif head == "1" and len(t) == 1:
-                    vals.append(self.one())
+                elif (head == "0" or head == "1") and len(t) == 1:
+                    vals.append(intern(ZERO if head == "0" else ONE, head))
                 elif head == "not" and len(t) == 2:
                     stack.append((t, True))
                     stack.append((t[1], False))
@@ -210,15 +209,16 @@ class Arena:
                     raise ValueError(f"bad term node {reprlib.repr(t)}")
             else:
                 if head == "not":
-                    vals.append(self.neg(vals.pop()))
+                    vals.append(intern(NEG, vals.pop()))
                 else:
                     k = len(t[1])
                     children = tuple(vals[len(vals) - k :])
                     del vals[len(vals) - k :]
                     if head == "or":
-                        vals.append(self.join(children))
+                        vals.append(intern(JOIN, children))
                     else:
-                        vals.append(self.neg(self.join(tuple(map(self.neg, children)))))
+                        negated = tuple([intern(NEG, c) for c in children])
+                        vals.append(intern(NEG, intern(JOIN, negated)))
         return vals[0]
 
     def export_tree(self, ref: int):
@@ -246,6 +246,7 @@ def print_term(arena: Arena, ref: int) -> str:
     Join children of joins and negated composites are parenthesised.
     Deterministic: children appear in stored order.
     """
+    arena._check(ref)
     out: list[str] = []
     stack: list = [(ref, False)]
     while stack:

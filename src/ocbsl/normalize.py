@@ -104,35 +104,37 @@ class Session:
     of all-but-one-zero joins (children are then taken in stored order and
     every join is coded).  Verdicts are unchanged; only the cost profile
     degrades.  Exists so the degradation is measurable.
+
+    One table names classes by content: class k (codes 2k and 2k+1) is
+    keyed by a variable's name or a join's sorted member codes, numbered
+    when its key is first seen; class 0 is the constants.
     """
 
     def __init__(self, arena: Arena, size_scheduling: bool = True):
         self.arena = arena
         self.size_scheduling = size_scheduling
         self.stats = Stats()
-        self._codes: dict = {}  # signature -> even code; ('v', name) | ('j', codes)
         self._node_codes: dict[int, int] = {}  # TermRef -> code
-        self._join_members: dict[int, tuple[int, ...]] = {}  # join code -> sorted member codes
-        self._var_names: dict[int, str] = {}  # var code -> name
-        self._next_code = 2
+        self._classes: list = [None]  # class k -> its key; slot 0 is the constants
+        self._codes: dict = {}  # key -> 2k
 
-    # -- code allocation -----------------------------------------------------
+    # -- the class table -------------------------------------------------------
 
-    def _alloc(self) -> int:
-        code = self._next_code
-        self._next_code += 2
-        self.stats.codes_allocated += 1
-        return code
-
-    def _var_code(self, ref: int) -> int:
-        name = self.arena.var_name(ref)
-        sig = ("v", name)
-        code = self._codes.get(sig)
+    def _code(self, key) -> int:
+        """Even code of the class with this key, appended if new."""
+        code = self._codes.get(key)
         if code is None:
-            code = self._alloc()
-            self._codes[sig] = code
-            self._var_names[code] = name
+            code = 2 * len(self._classes)
+            self._classes.append(key)
+            self._codes[key] = code
+            self.stats.codes_allocated += 1
         return code
+
+    def _class_key(self, code: int):
+        """Key of code's class (None for the constants); rejects unassigned codes."""
+        if not (isinstance(code, int) and 0 <= code < 2 * len(self._classes)):
+            raise ValueError(f"code {code!r} was never assigned in this session")
+        return self._classes[code >> 1]
 
     # -- public API ------------------------------------------------------------
 
@@ -151,15 +153,14 @@ class Session:
 
     def join_class_members(self, code: int) -> tuple[int, ...] | None:
         """Sorted member codes if `code` names a join class, else None."""
-        if not (isinstance(code, int) and 0 <= code < self._next_code):
-            raise ValueError(f"code {code!r} was never assigned in this session")
-        return self._join_members.get(code)
+        key = self._class_key(code)
+        return key if type(key) is tuple and not code & 1 else None
 
     def extract_normal_form(self, code: int) -> int:
         """A term whose normalization yields `code`; join children ascend by code."""
-        if not (isinstance(code, int) and 0 <= code < self._next_code):
-            raise ValueError(f"code {code!r} was never assigned in this session")
+        self._class_key(code)
         arena = self.arena
+        classes = self._classes
         built: dict[int, int] = {}
         stack = [code]
         while stack:
@@ -179,9 +180,9 @@ class Session:
                     stack.append(base)
                     continue
             else:
-                members = self._join_members.get(c)
-                if members is None:
-                    built[c] = arena.var(self._var_names[c])
+                members = classes[c >> 1]  # a name or member codes
+                if type(members) is str:
+                    built[c] = arena.var(members)
                 else:
                     missing = [m for m in members if m not in built]
                     if missing:
@@ -266,7 +267,7 @@ class Session:
                     elif kind == ONE:
                         code = ONE_CODE
                     else:
-                        code = self._var_code(current)
+                        code = self._code(arena.var_name(current))
                     node_codes[current] = code
 
             # Deliver codes and advance join frames until a term needs resolving.
@@ -334,16 +335,16 @@ class Session:
         if ONE_CODE in acc:
             stats.a4_hits += 1
             return ONE_CODE
-        join_members = self._join_members
+        classes = self._classes
         flat: list[int] = []
         for c in acc:
-            members = join_members.get(c)
-            if members is not None:
+            members = classes[c >> 1]
+            if c & 1 or type(members) is not tuple:
+                flat.append(c)
+            else:
                 # the child's class is a join: merge its members instead
                 stats.a2_flattens += 1
                 flat.extend(members)
-            else:
-                flat.append(c)
         stats.merge_work += len(flat)
         present = set(flat)
         stats.a3_dedups += len(flat) - len(present)
@@ -359,8 +360,8 @@ class Session:
         m = len(codes)
         for c in codes:
             if c & 1:
-                members = join_members.get(c ^ 1)
-                if members is None or len(members) > m:
+                members = classes[c >> 1]
+                if type(members) is not tuple or len(members) > m:
                     continue
                 stats.a9_probe_work += len(members)
                 if present.issuperset(members):
@@ -371,10 +372,4 @@ class Session:
         if m == 1:
             stats.a2b_collapses += 1
             return codes[0]
-        sig = ("j", codes)
-        code = self._codes.get(sig)
-        if code is None:
-            code = self._alloc()
-            self._codes[sig] = code
-            self._join_members[code] = codes
-        return code
+        return self._code(codes)

@@ -93,15 +93,17 @@ def Not(child: Formula) -> Formula:
 
 
 def And(children: tuple[Formula, ...]) -> Formula:
+    children = tuple(children)
     if not children:
         raise ValueError("And needs at least one child")
-    return ("and", tuple(children))
+    return ("and", children)
 
 
 def Or(children: tuple[Formula, ...]) -> Formula:
+    children = tuple(children)
     if not children:
         raise ValueError("Or needs at least one child")
-    return ("or", tuple(children))
+    return ("or", children)
 
 
 # --------------------------------------------------------------------------

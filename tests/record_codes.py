@@ -1,0 +1,103 @@
+"""Record what the public pipeline assigns to a fixed set of inputs.
+
+    PYTHONPATH=src:tests python3 tests/record_codes.py OUT
+
+Writes one JSON line per input formula: the ref `to_internal` returned,
+`len(arena)` after interning, the code, the join members of that code,
+every `Stats` field and the printed normal form.  Only the public API is
+used, so the same file runs against another checkout of the package, and
+a refactor of `dag` or `normalize` that keeps refs, codes, counters and
+normal forms leaves the output byte-identical::
+
+    PYTHONPATH=<old checkout>/src:tests python3 tests/record_codes.py old.jsonl
+    PYTHONPATH=src:tests python3 tests/record_codes.py new.jsonl
+    cmp old.jsonl new.jsonl && sha256sum new.jsonl
+
+Inputs, each run with size_scheduling True and then False:
+
+* every `enumerate_terms(7)` term, each in a fresh session, then all in
+  one shared session;
+* 20,000 pairs of a `gen.random_formula` (2-40 nodes over a-d) and its
+  `gen.disturbed` variant, each pair in a fresh session, then all in one
+  shared session;
+* the bench families fig6, fig7 and a9 at 2^4..2^12 surface nodes, each
+  in a fresh session.
+
+It takes about a minute and writes 525,286 lines.  Not collected by
+pytest (the file name does not start with ``test_``).
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+
+from ocbsl import Arena, Session, print_term, to_internal
+from ocbsl.bench import family_scale, gen_family
+from enum_terms import enumerate_terms
+from gen import disturbed, random_formula
+
+PAIRS = 20_000
+SEED = 7
+
+
+def record(out, label: str, session: Session, formula) -> None:
+    arena = session.arena
+    ref = to_internal(formula, arena)
+    nodes = len(arena)
+    code = session.normalize(ref)
+    members = session.join_class_members(code)
+    row = {
+        "in": label,
+        "ref": ref,
+        "nodes": nodes,
+        "code": code,
+        "members": members,
+        "stats": vars(session.stats),
+        "nf": print_term(arena, session.extract_normal_form(code)),
+    }
+    out.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def fresh(scheduling: bool) -> Session:
+    return Session(Arena(), size_scheduling=scheduling)
+
+
+def random_pairs():
+    rng = random.Random(SEED)
+    names = ["a", "b", "c", "d"]
+    for _ in range(PAIRS):
+        f = random_formula(rng, rng.randint(2, 40), names)
+        yield f, disturbed(rng, f)
+
+
+def main(path: str) -> None:
+    terms = enumerate_terms(7)
+    pairs = list(random_pairs())
+    with open(path, "w", encoding="utf-8") as out:
+        for scheduling in (True, False):
+            tag = f"s{int(scheduling)}"
+            for i, t in enumerate(terms):
+                record(out, f"{tag}/enum/fresh/{i}", fresh(scheduling), t)
+            shared = fresh(scheduling)
+            for i, t in enumerate(terms):
+                record(out, f"{tag}/enum/shared/{i}", shared, t)
+            for i, (f, g) in enumerate(pairs):
+                session = fresh(scheduling)
+                record(out, f"{tag}/pair/fresh/{i}/f", session, f)
+                record(out, f"{tag}/pair/fresh/{i}/g", session, g)
+            shared = fresh(scheduling)
+            for i, (f, g) in enumerate(pairs):
+                record(out, f"{tag}/pair/shared/{i}/f", shared, f)
+                record(out, f"{tag}/pair/shared/{i}/g", shared, g)
+            for family in ("fig6", "fig7", "a9"):
+                for e in range(4, 13):
+                    f = gen_family(family, family_scale(family, 2**e))
+                    record(out, f"{tag}/{family}/{e}", fresh(scheduling), f)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT")
+    main(sys.argv[1])

@@ -29,9 +29,15 @@ def test_intern_grows_by_at_most_one():
 def test_arena_capacity():
     arena = Arena(max_nodes=2)
     a = arena.var("a")
-    arena.neg(a)
+    na = arena.neg(a)
     with pytest.raises(ArenaFullError):
         arena.var("b")
+    # the memo lookup comes before the limit: existing nodes are still found
+    assert arena.var("a") == a and arena.neg(a) == na
+    assert arena.intern_tree(("not", ("var", "a"))) == na
+    with pytest.raises(ArenaFullError):
+        arena.intern_tree(("or", (("var", "a"), ("not", ("var", "a")))))
+    assert len(arena) == 2
 
 
 def test_ref_validation():
@@ -43,6 +49,10 @@ def test_ref_validation():
         arena.neg(0)
     with pytest.raises(ValueError):
         arena.join((a,))
+    arena.var("a")
+    for ref in (-1, len(arena)):
+        with pytest.raises(ValueError):
+            print_term(arena, ref)
 
 
 def test_reverse_topological_order_basics():
@@ -107,9 +117,10 @@ def test_sharing_gap():
 
 
 def test_hash_consing_soundness_exhaustive():
-    # structural equality of terms <-> equality of refs, all terms <= 5 nodes
+    # structural equality of terms <-> equality of refs, all terms <= 5 nodes;
+    # the atoms include 0 and 1, whose memo keys must not meet a name's
     arena = Arena()
-    terms = enumerate_terms(5, atoms=(("var", "a"), ("var", "b")))
+    terms = enumerate_terms(5)
     refs = [arena.intern_tree(t) for t in terms]
     assert len(set(refs)) == len(terms)
     again = [arena.intern_tree(t) for t in terms]

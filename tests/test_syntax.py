@@ -172,3 +172,7 @@ def test_formula_validation():
         And(())
     with pytest.raises(ValueError):
         Or(())
+    with pytest.raises(ValueError):
+        Or(iter(()))
+    with pytest.raises(ValueError):
+        And(c for c in ())

@@ -29,9 +29,7 @@ near 1 means quasilinear, near 2 quadratic.
 from __future__ import annotations
 
 import math
-import statistics
 import time
-from dataclasses import dataclass
 
 from .dag import Arena
 from .normalize import Session, Stats
@@ -82,17 +80,21 @@ def family_scale(family: str, target_nodes: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-@dataclass
 class BenchReport:
-    family: str
-    sizes: list[int]  # surface node counts, strictly increasing
-    times_ns: list[int]  # median wall-clock per size
-    stats: list[Stats]  # session counters of the last repetition per size
-    fitted_exponent: float
+    def __init__(
+        self, family: str, sizes: list[int], times_ns: list[int], stats: list[Stats], fitted_exponent: float
+    ):
+        self.family = family
+        self.sizes = sizes  # surface node counts, strictly increasing
+        self.times_ns = times_ns  # median wall-clock per size
+        self.stats = stats  # session counters of the last repetition per size
+        self.fitted_exponent = fitted_exponent
 
 
 def fit_exponent(sizes: list[int], times_ns: list[int]) -> float:
     """Least-squares slope of log(time) against log(size)."""
+    import statistics  # only `bench` needs it; kept off the start-up path of every command
+
     if len(sizes) < 2:
         raise ValueError("need at least two points to fit a slope")
     return statistics.linear_regression(list(map(math.log, sizes)), list(map(math.log, times_ns))).slope
@@ -109,6 +111,8 @@ def run_bench(
     Each size is timed `reps` times on fresh arenas; the median damps
     allocator noise.  Formula construction is not timed.
     """
+    import statistics  # only `bench` needs it; kept off the start-up path of every command
+
     if reps < 1:
         raise ValueError("reps must be >= 1")
     exponents = list(exponents)

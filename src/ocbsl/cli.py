@@ -6,6 +6,10 @@ Subcommands:
     normalize <f>      print the canonical internal form of a formula
     batch <file>       check `lhs == rhs` lines, verify expect annotations
     bench ...          time a benchmark family and fit a scaling exponent
+
+A check is one short process, so start-up is most of its time.  The
+modules this imports keep heavy standard-library modules out: none uses
+`dataclasses`, and `bench` imports `statistics` only when it runs.
 """
 
 from __future__ import annotations

@@ -42,8 +42,6 @@ unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
 from .dag import Arena, JOIN, NEG, ONE, VAR, ZERO
 
 __all__ = ["Session", "Stats", "neg_of", "ZERO_CODE", "ONE_CODE"]
@@ -57,29 +55,49 @@ def neg_of(code: int) -> int:
     return code ^ 1
 
 
-@dataclass
 class Stats:
-    """Rule-application and bookkeeping counters for one session."""
+    """Rule-application and bookkeeping counters for one session.
 
-    a2_flattens: int = 0  # nested join spliced into its parent
-    a2b_collapses: int = 0  # single-child join replaced by that child
-    a3_dedups: int = 0  # duplicate child dropped
-    a4_hits: int = 0  # join annihilated by a child equal to 1
-    a5_drops: int = 0  # child equal to 0 dropped
-    a6_strips: int = 0  # double negation removed
-    a7_hits: int = 0  # join annihilated by a complement pair
-    a9_hits: int = 0  # join annihilated by a negated sub-join
-    a10_hits: int = 0  # !0 -> 1
-    a11_hits: int = 0  # !1 -> 0
-    nodes_visited: int = 0
-    memo_hits: int = 0
-    codes_allocated: int = 0  # plain/negated pairs
-    merge_work: int = 0  # child codes merged, before deduplication
-    a9_probe_work: int = 0  # member codes probed by the A9 check
+    A plain class, not a dataclass, so that importing the package never
+    loads `dataclasses`.  `vars()` lists the counters in the order of
+    `FIELDS`; construction takes any of them by keyword, the rest are 0.
+    """
+
+    FIELDS = (
+        "a2_flattens",  # nested join spliced into its parent
+        "a2b_collapses",  # single-child join replaced by that child
+        "a3_dedups",  # duplicate child dropped
+        "a4_hits",  # join annihilated by a child equal to 1
+        "a5_drops",  # child equal to 0 dropped
+        "a6_strips",  # double negation removed
+        "a7_hits",  # join annihilated by a complement pair
+        "a9_hits",  # join annihilated by a negated sub-join
+        "a10_hits",  # !0 -> 1
+        "a11_hits",  # !1 -> 0
+        "nodes_visited",
+        "memo_hits",
+        "codes_allocated",  # plain/negated pairs
+        "merge_work",  # child codes merged, before deduplication
+        "a9_probe_work",  # member codes probed by the A9 check
+    )
+    _BOOKKEEPING = ("nodes_visited", "memo_hits", "codes_allocated", "merge_work", "a9_probe_work")
+
+    def __init__(self, **counts: int):
+        for name in self.FIELDS:
+            setattr(self, name, counts.pop(name, 0))
+        if counts:
+            raise TypeError(f"Stats() got an unexpected keyword argument {next(iter(counts))!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "Stats(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS) + ")"
 
     def rule_counters(self) -> dict[str, int]:
-        skip = {"nodes_visited", "memo_hits", "codes_allocated", "merge_work", "a9_probe_work"}
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        return {name: getattr(self, name) for name in self.FIELDS if name not in self._BOOKKEEPING}
 
 
 class _JoinFrame:

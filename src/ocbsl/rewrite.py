@@ -27,7 +27,6 @@ machinery with the coded normalizer it cross-checks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 __all__ = [
     "ZERO",
@@ -103,12 +102,39 @@ class RewriteBudgetError(RuntimeError):
     """Reduction exceeded its step budget: a termination bug."""
 
 
-@dataclass(frozen=True)
 class RewriteStep:
-    rule: str  # A2, A2b, A3, A4, A5, A6, A7, A9, A10, A11
-    position: tuple[int, ...]  # child-index path from the root
-    before: tuple  # whole term before the step
-    after: tuple  # whole term after the step
+    """One rule application; immutable and hashable."""
+
+    __slots__ = ("rule", "position", "before", "after")
+
+    def __init__(self, rule: str, position: tuple[int, ...], before: tuple, after: tuple):
+        object.__setattr__(self, "rule", rule)  # A2, A2b, A3, A4, A5, A6, A7, A9, A10, A11
+        object.__setattr__(self, "position", position)  # child-index path from the root
+        object.__setattr__(self, "before", before)  # whole term before the step
+        object.__setattr__(self, "after", after)  # whole term after the step
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.rule, self.position, self.before, self.after)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "RewriteStep(rule={!r}, position={!r}, before={!r}, after={!r})".format(*self._fields())
+
+    def __reduce__(self):  # copy and pickle would otherwise go through __setattr__
+        return RewriteStep, self._fields()
 
 
 def _replace(t, path, sub):

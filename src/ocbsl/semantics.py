@@ -10,6 +10,8 @@ big integer per node so the enumeration stays cheap.
 
 from __future__ import annotations
 
+import reprlib
+
 from .dag import Arena, JOIN, NEG, ONE, VAR, ZERO
 from . import syntax
 
@@ -58,19 +60,40 @@ def eval_term(arena: Arena, ref: int, assignment: dict[str, int]) -> int:
 
 
 def eval_formula(f: syntax.Formula, assignment: dict[str, int]) -> int:
-    """Standard Boolean value of a surface formula (and=min, or=max)."""
-    head = f[0]
-    if head == "var":
-        if f[1] not in assignment:
-            raise ValueError(f"unbound variable {f[1]!r}")
-        return 1 if assignment[f[1]] else 0
-    if head == "0" or head == "1":
-        return int(head)
-    if head == "not":
-        return 1 - eval_formula(f[1], assignment)
-    if head == "and":
-        return min(eval_formula(c, assignment) for c in f[1])
-    return max(eval_formula(c, assignment) for c in f[1])
+    """Standard Boolean value of a surface formula (and=min, or=max).
+
+    Post-order and iterative like `Arena.intern_tree`, so it takes any
+    depth `parse` does; a malformed node raises ValueError.
+    """
+    stack = [(f, False)]
+    vals: list[int] = []
+    while stack:
+        t, expanded = stack.pop()
+        head = t[0] if type(t) is tuple and t else None
+        if expanded:
+            if head == "not":
+                vals.append(1 - vals.pop())
+            else:
+                k = len(t[1])
+                children = vals[len(vals) - k :]
+                del vals[len(vals) - k :]
+                vals.append(min(children) if head == "and" else max(children))
+        elif head == "var" and len(t) == 2:
+            if t[1] not in assignment:
+                raise ValueError(f"unbound variable {t[1]!r}")
+            vals.append(1 if assignment[t[1]] else 0)
+        elif (head == "0" or head == "1") and len(t) == 1:
+            vals.append(int(head))
+        elif head == "not" and len(t) == 2:
+            stack.append((t, True))
+            stack.append((t[1], False))
+        elif (head == "or" or head == "and") and len(t) == 2 and type(t[1]) is tuple and t[1]:
+            stack.append((t, True))
+            for c in reversed(t[1]):
+                stack.append((c, False))
+        else:
+            raise ValueError(f"bad formula node {reprlib.repr(t)}")
+    return vals[0]
 
 
 def _truth_table(arena: Arena, ref: int, names: list[str]) -> int:

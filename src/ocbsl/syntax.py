@@ -39,7 +39,6 @@ the normalizer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .dag import _NAME_RE, _check_name
 
@@ -59,12 +58,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SourceSpan:
-    """Byte offsets [start, end) into the input text."""
+    """Byte offsets [start, end) into the input text; immutable and hashable."""
 
-    start: int
-    end: int
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: int, end: int):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.end) == (other.start, other.end)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.end))
+
+    def __repr__(self) -> str:
+        return f"SourceSpan(start={self.start!r}, end={self.end!r})"
+
+    def __reduce__(self):  # copy and pickle would otherwise go through __setattr__
+        return SourceSpan, (self.start, self.end)
 
 
 class ParseError(ValueError):

@@ -170,6 +170,25 @@ def test_cli_imports_only_the_standard_library():
     assert proc.stdout.strip() == "[]"
 
 
+# `dataclasses` pulls in inspect, ast and dis; `statistics` pulls in fractions
+# and decimal.  Together they cost more start-up than a check takes.
+HEAVY_STDLIB = ("ast", "dataclasses", "decimal", "dis", "fractions", "inspect", "statistics")
+
+
+@pytest.mark.parametrize("modules", ["ocbsl.cli", "ocbsl.rewrite, ocbsl.semantics"])
+def test_import_leaves_heavy_stdlib_modules_out(modules):
+    # only modules the import newly loads count, so site hooks do not
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"import {modules}\n"
+        f"print(sorted((set(sys.modules) - before) & set({HEAVY_STDLIB!r})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_normalize_output_parses():
     # ensure printed normal forms stay inside the surface grammar
     proc = subprocess.run(

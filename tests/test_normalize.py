@@ -402,3 +402,35 @@ def test_golden_stats_and_normal_form(formula, scheduling, printed, counters):
     code = s.normalize(to_internal(formula, arena))
     assert vars(s.stats) == vars(Stats(**counters))
     assert print_term(arena, s.extract_normal_form(code)) == printed
+
+
+STATS_FIELDS = [
+    "a2_flattens",
+    "a2b_collapses",
+    "a3_dedups",
+    "a4_hits",
+    "a5_drops",
+    "a6_strips",
+    "a7_hits",
+    "a9_hits",
+    "a10_hits",
+    "a11_hits",
+    "nodes_visited",
+    "memo_hits",
+    "codes_allocated",
+    "merge_work",
+    "a9_probe_work",
+]
+
+
+def test_stats_contract():
+    assert list(vars(Stats())) == STATS_FIELDS
+    assert all(v == 0 for v in vars(Stats()).values())
+    assert Stats(a4_hits=2) == Stats(a4_hits=2) != Stats()
+    assert Stats(a4_hits=2).a4_hits == 2
+    with pytest.raises(TypeError):
+        Stats(bogus=1)
+    rules = Stats(a9_hits=3).rule_counters()
+    assert list(rules.items()) == [(name, 3 if name == "a9_hits" else 0) for name in STATS_FIELDS[:10]]
+    assert repr(Stats(a2_flattens=1)).startswith("Stats(a2_flattens=1, a2b_collapses=0, ")
+    assert repr(Stats()).endswith(", a9_probe_work=0)")

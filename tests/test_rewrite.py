@@ -140,3 +140,21 @@ def test_termination_bound_random():
     for t in rng.sample(enumerate_terms(7), 800):
         _, steps = trace_normal_form(t)
         assert len(steps) <= node_count(t)
+
+
+def test_rewrite_step_contract():
+    import copy
+    import pickle
+
+    from ocbsl.rewrite import RewriteStep
+
+    t, after = join(var("a"), ZERO), join(var("a"))
+    step = RewriteStep("A5", (), t, after)
+    assert (step.rule, step.position, step.before, step.after) == ("A5", (), t, after)
+    assert step == RewriteStep("A5", (), t, after) != RewriteStep("A5", (0,), t, after)
+    assert hash(step) == hash(RewriteStep("A5", (), t, after))
+    assert repr(step).startswith("RewriteStep(rule='A5', position=(), before=")
+    with pytest.raises(AttributeError):
+        step.rule = "A3"
+    assert copy.deepcopy(step) == pickle.loads(pickle.dumps(step)) == step
+    assert applicable_steps(t) == [step]

@@ -107,3 +107,26 @@ def test_translation_preserves_boolean_semantics():
         for bits in itertools.product((0, 1), repeat=len(names)):
             assignment = dict(zip(names, bits))
             assert eval_formula(f, assignment) == eval_term(arena, ref, assignment)
+
+
+def test_eval_formula_deep_chain():
+    # a 2,000-deep right-nested chain, as parse gives it, must not hit the recursion limit
+    depth = 2000
+    text = "x0"
+    for i in range(1, depth):
+        text = f"x{i} | ({text})"
+    f = parse(text)
+    assignment = {f"x{i}": 0 for i in range(depth)}
+    assert eval_formula(f, assignment) == 0
+    assignment["x0"] = 1
+    assert eval_formula(f, assignment) == 1
+    assert eval_formula(("not", f), assignment) == 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [("foo", (("1",),)), ("not",), ("or", ()), ("and", [("1",)]), ("var",), (), "a", ("or", (("bar",),))],
+)
+def test_eval_formula_rejects_malformed_nodes(bad):
+    with pytest.raises(ValueError):
+        eval_formula(bad, {})

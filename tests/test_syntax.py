@@ -176,3 +176,21 @@ def test_formula_validation():
         Or(iter(()))
     with pytest.raises(ValueError):
         And(c for c in ())
+
+
+def test_source_span_contract():
+    import copy
+    import pickle
+
+    from ocbsl import SourceSpan
+
+    span = SourceSpan(4, 6)
+    assert span == SourceSpan(start=4, end=6) != SourceSpan(4, 7)
+    assert (span.start, span.end) == (4, 6)
+    assert hash(span) == hash(SourceSpan(4, 6))
+    assert len({span, SourceSpan(4, 6), SourceSpan(5, 6)}) == 2
+    assert repr(span) == "SourceSpan(start=4, end=6)"
+    with pytest.raises(AttributeError):
+        span.start = 5
+    assert span.start == 4
+    assert copy.deepcopy(span) == pickle.loads(pickle.dumps(span)) == span

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 
 from .dag import Arena
 from .normalize import Session, Stats
@@ -80,15 +81,10 @@ def family_scale(family: str, target_nodes: int) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-class BenchReport:
-    def __init__(
-        self, family: str, sizes: list[int], times_ns: list[int], stats: list[Stats], fitted_exponent: float
-    ):
-        self.family = family
-        self.sizes = sizes  # surface node counts, strictly increasing
-        self.times_ns = times_ns  # median wall-clock per size
-        self.stats = stats  # session counters of the last repetition per size
-        self.fitted_exponent = fitted_exponent
+# `sizes` are surface node counts, strictly increasing; `times_ns` the
+# median wall-clock per size; `stats` the session counters of the last
+# repetition per size.
+BenchReport = namedtuple("BenchReport", "family sizes times_ns stats fitted_exponent")
 
 
 def fit_exponent(sizes: list[int], times_ns: list[int]) -> float:

@@ -24,7 +24,9 @@ by the rewrite oracle) is::
 with k >= 1.  `intern_tree` also takes the surface conjunction
 ``("and", (t1, ..., tk))`` of `syntax` and interns it by de Morgan as
 ``!(!t1 | ... | !tk)``, so it is the one builder from any formula tree to
-refs; `export_tree` never emits "and".
+refs; `export_tree` never emits "and".  `_tree_nodes` checks the shape of
+the whole tree before `intern_tree` interns any of it, so a malformed tree
+interns nothing; only `ArenaFullError` can stop a build part-way.
 """
 
 from __future__ import annotations
@@ -58,6 +60,31 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 def _check_name(name: str) -> None:
     if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
         raise ValueError(f"invalid variable name {name!r}")
+
+
+def _tree_nodes(term) -> list:
+    """Every node of a plain-tuple tree, in pre-order with children right to left.
+
+    Reversed, the list is the left-to-right post-order.  Iterative, and
+    the one check of the tree shape: a node with an unknown head, a wrong
+    arity, an empty or non-tuple child sequence or a bad variable name
+    raises ValueError.
+    """
+    nodes = []
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        nodes.append(t)
+        head = t[0] if type(t) is tuple and t else None
+        if head == "var" and len(t) == 2:
+            _check_name(t[1])
+        elif head == "not" and len(t) == 2:
+            stack.append(t[1])
+        elif (head == "or" or head == "and") and len(t) == 2 and type(t[1]) is tuple and t[1]:
+            stack.extend(t[1])
+        elif not ((head == "0" or head == "1") and len(t) == 1):
+            raise ValueError(f"bad term node {reprlib.repr(t)}")
+    return nodes
 
 
 class ArenaFullError(RuntimeError):
@@ -182,43 +209,32 @@ class Arena:
     def intern_tree(self, term) -> int:
         """Intern a plain-tuple term (see module docstring for the shape).
 
-        Post-order and iterative: a node's children are interned left to
-        right before it, and an "and" interns the negated children left to
-        right, then their join, then its negation.  A malformed tree raises
-        ValueError.
+        `_tree_nodes` checks the whole tree first, so a malformed tree
+        raises ValueError with nothing interned.  Then, in post-order, a
+        node's children are interned left to right before it, and an "and"
+        interns the negated children left to right, then their join, then
+        its negation.  `ArenaFullError` can still stop the build part-way,
+        leaving the nodes interned before it.
         """
-        intern = self._intern  # refs on `vals` came from it, so skip `_check`
-        stack = [(term, False)]
+        intern = self._intern  # the tree is checked and refs on `vals` came from it
         vals: list[int] = []
-        while stack:
-            t, expanded = stack.pop()
-            head = t[0] if type(t) is tuple and t else None
-            if not expanded:
-                if head == "var" and len(t) == 2:
-                    vals.append(self.var(t[1]))
-                elif (head == "0" or head == "1") and len(t) == 1:
-                    vals.append(intern(ZERO if head == "0" else ONE, head))
-                elif head == "not" and len(t) == 2:
-                    stack.append((t, True))
-                    stack.append((t[1], False))
-                elif (head == "or" or head == "and") and len(t) == 2 and type(t[1]) is tuple and t[1]:
-                    stack.append((t, True))
-                    for c in reversed(t[1]):
-                        stack.append((c, False))
+        for t in reversed(_tree_nodes(term)):
+            head = t[0]
+            if head == "var":
+                vals.append(intern(VAR, t[1]))
+            elif head == "not":
+                vals[-1] = intern(NEG, vals[-1])
+            elif head == "or" or head == "and":
+                k = len(t[1])
+                children = tuple(vals[-k:])
+                del vals[-k:]
+                if head == "or":
+                    vals.append(intern(JOIN, children))
                 else:
-                    raise ValueError(f"bad term node {reprlib.repr(t)}")
+                    negated = tuple([intern(NEG, c) for c in children])
+                    vals.append(intern(NEG, intern(JOIN, negated)))
             else:
-                if head == "not":
-                    vals.append(intern(NEG, vals.pop()))
-                else:
-                    k = len(t[1])
-                    children = tuple(vals[len(vals) - k :])
-                    del vals[len(vals) - k :]
-                    if head == "or":
-                        vals.append(intern(JOIN, children))
-                    else:
-                        negated = tuple([intern(NEG, c) for c in children])
-                        vals.append(intern(NEG, intern(JOIN, negated)))
+                vals.append(intern(ZERO if head == "0" else ONE, head))
         return vals[0]
 
     def export_tree(self, ref: int):

@@ -26,7 +26,7 @@ machinery with the coded normalizer it cross-checks.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 __all__ = [
     "ZERO",
@@ -102,39 +102,10 @@ class RewriteBudgetError(RuntimeError):
     """Reduction exceeded its step budget: a termination bug."""
 
 
-class RewriteStep:
-    """One rule application; immutable and hashable."""
-
-    __slots__ = ("rule", "position", "before", "after")
-
-    def __init__(self, rule: str, position: tuple[int, ...], before: tuple, after: tuple):
-        object.__setattr__(self, "rule", rule)  # A2, A2b, A3, A4, A5, A6, A7, A9, A10, A11
-        object.__setattr__(self, "position", position)  # child-index path from the root
-        object.__setattr__(self, "before", before)  # whole term before the step
-        object.__setattr__(self, "after", after)  # whole term after the step
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.rule, self.position, self.before, self.after)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "RewriteStep(rule={!r}, position={!r}, before={!r}, after={!r})".format(*self._fields())
-
-    def __reduce__(self):  # copy and pickle would otherwise go through __setattr__
-        return RewriteStep, self._fields()
+# One rule application: the rule (A2, A2b, A3, A4, A5, A6, A7, A9, A10,
+# A11), its position as a child-index path from the root, and the whole
+# term before and after the step.
+RewriteStep = namedtuple("RewriteStep", "rule position before after")
 
 
 def _replace(t, path, sub):

@@ -39,8 +39,9 @@ the normalizer.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
-from .dag import _NAME_RE, _check_name
+from .dag import _NAME_RE, _check_name, _tree_nodes
 
 __all__ = [
     "Formula",
@@ -58,34 +59,8 @@ __all__ = [
 ]
 
 
-class SourceSpan:
-    """Byte offsets [start, end) into the input text; immutable and hashable."""
-
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int):
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.start, self.end) == (other.start, other.end)
-
-    def __hash__(self) -> int:
-        return hash((self.start, self.end))
-
-    def __repr__(self) -> str:
-        return f"SourceSpan(start={self.start!r}, end={self.end!r})"
-
-    def __reduce__(self):  # copy and pickle would otherwise go through __setattr__
-        return SourceSpan, (self.start, self.end)
+# Byte offsets [start, end) into the input text.
+SourceSpan = namedtuple("SourceSpan", "start end")
 
 
 class ParseError(ValueError):
@@ -93,6 +68,9 @@ class ParseError(ValueError):
         super().__init__(f"{message} at bytes {span.start}..{span.end}")
         self.message = message
         self.span = span
+
+    def __reduce__(self):  # `args` holds only the formatted text, not both arguments
+        return ParseError, (self.message, self.span)
 
 
 Formula = tuple  # of the shape in the module docstring
@@ -253,8 +231,10 @@ def print_formula(f: Formula) -> str:
 
     Conjunction/disjunction children are always parenthesised inside an
     operator context ("(a & b) | c", "a | (b | c)"); negations and atoms
-    ride bare.  Stored nesting therefore survives a round trip.
+    ride bare.  Stored nesting therefore survives a round trip.  A
+    malformed formula raises ValueError.
     """
+    _tree_nodes(f)
     out: list[str] = []
     stack: list = [(f, 0)]
     while stack:
@@ -289,18 +269,8 @@ def print_formula(f: Formula) -> str:
 
 
 def formula_nodes(f: Formula) -> int:
-    """Number of nodes in a surface formula."""
-    count = 0
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        count += 1
-        head = node[0]
-        if head == "not":
-            stack.append(node[1])
-        elif head == "or" or head == "and":
-            stack.extend(node[1])
-    return count
+    """Number of nodes in a surface formula; a malformed one raises ValueError."""
+    return len(_tree_nodes(f))
 
 
 # --------------------------------------------------------------------------

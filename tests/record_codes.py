@@ -4,10 +4,11 @@
 
 Writes one JSON line per input formula: the ref `to_internal` returned,
 `len(arena)` after interning, the code, the join members of that code,
-every `Stats` field and the printed normal form.  Only the public API is
-used, so the same file runs against another checkout of the package, and
-a refactor of `dag` or `normalize` that keeps refs, codes, counters and
-normal forms leaves the output byte-identical::
+every `Stats` field, the printed normal form, and the input's
+`formula_nodes` and `print_formula`.  Only the public API is used, so the
+same file runs against another checkout of the package, and a refactor of
+`dag`, `syntax` or `normalize` that keeps refs, codes, counters, normal
+forms and surface walks leaves the output byte-identical::
 
     PYTHONPATH=<old checkout>/src:tests python3 tests/record_codes.py old.jsonl
     PYTHONPATH=src:tests python3 tests/record_codes.py new.jsonl
@@ -33,7 +34,7 @@ import json
 import random
 import sys
 
-from ocbsl import Arena, Session, print_term, to_internal
+from ocbsl import Arena, Session, formula_nodes, print_formula, print_term, to_internal
 from ocbsl.bench import family_scale, gen_family
 from enum_terms import enumerate_terms
 from gen import disturbed, random_formula
@@ -56,6 +57,8 @@ def record(out, label: str, session: Session, formula) -> None:
         "members": members,
         "stats": vars(session.stats),
         "nf": print_term(arena, session.extract_normal_form(code)),
+        "size": formula_nodes(formula),
+        "text": print_formula(formula),
     }
     out.write(json.dumps(row, separators=(",", ":")) + "\n")
 

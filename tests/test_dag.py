@@ -1,6 +1,6 @@
 import pytest
 
-from ocbsl import rewrite, to_internal
+from ocbsl import formula_nodes, print_formula, rewrite, to_internal
 from ocbsl.dag import JOIN, NEG, SIZE_CAP, Arena, ArenaFullError, print_term
 from enum_terms import enumerate_terms
 
@@ -166,13 +166,39 @@ def test_intern_tree_interns_and_by_de_morgan_in_order():
         ("not",),
         ("0", "extra"),
         ("or", (("var", "a"), "b")),  # malformed below the root
+        ("foo",),
+        ("not", ("var", "1bad")),
+        # well-formed nodes before the bad one in post-order
+        ("or", (("var", "a"), ("not", ("var", "b")), ("foo",))),
     ],
 )
 def test_intern_tree_rejects_malformed_trees(tree):
+    # every walker of the tree shape rejects it, and none interns a part
+    arena = Arena()
+    arena.var("a")
     with pytest.raises(ValueError):
-        Arena().intern_tree(tree)
+        arena.intern_tree(tree)
     with pytest.raises(ValueError):
-        to_internal(tree, Arena())
+        to_internal(tree, arena)
+    assert len(arena) == 1
+    with pytest.raises(ValueError):
+        formula_nodes(tree)
+    with pytest.raises(ValueError):
+        print_formula(tree)
+
+
+def test_tree_walkers_take_deep_and_wide_trees():
+    n = 10**5
+    deep = ("var", "a")
+    for _ in range(n):
+        deep = ("not", deep)
+    wide = ("or", tuple(("var", f"x{i}") for i in range(n)))
+    for tree, text in ((deep, "!" * n + "a"), (wide, " | ".join(f"x{i}" for i in range(n)))):
+        arena = Arena()
+        top = arena.intern_tree(tree)
+        assert top == n and len(arena) == n + 1
+        assert formula_nodes(tree) == n + 1
+        assert print_formula(tree) == text
 
 
 def test_print_term():

@@ -194,3 +194,15 @@ def test_source_span_contract():
         span.start = 5
     assert span.start == 4
     assert copy.deepcopy(span) == pickle.loads(pickle.dumps(span)) == span
+
+
+def test_parse_error_survives_copy_and_pickle():
+    import copy
+    import pickle
+
+    with pytest.raises(ParseError) as info:
+        parse("a &")
+    err = info.value
+    for clone in (copy.copy(err), copy.deepcopy(err), pickle.loads(pickle.dumps(err))):
+        assert type(clone) is ParseError
+        assert (clone.message, clone.span, str(clone)) == (err.message, err.span, str(err))

@@ -119,14 +119,16 @@ class Arena:
         ref = len(self._kinds)
         if self._max_nodes is not None and ref >= self._max_nodes:
             raise ArenaFullError(f"arena limit of {self._max_nodes} nodes reached")
-        size = 1
+        sizes = self._sizes
         if kind == NEG:
-            size += self._sizes[payload]
+            size = sizes[payload] + 1
         elif kind == JOIN:
-            size += sum(map(self._sizes.__getitem__, payload))
+            size = sum(map(sizes.__getitem__, payload)) + 1
+        else:
+            size = 1
         self._kinds.append(kind)
         self._payload.append(payload)
-        self._sizes.append(min(SIZE_CAP, size))
+        sizes.append(size if size < SIZE_CAP else SIZE_CAP)
         self._memo[payload] = ref
         return ref
 
@@ -153,7 +155,8 @@ class Arena:
         return self._intern(JOIN, children)
 
     def _check(self, ref: int) -> None:
-        if not (isinstance(ref, int) and 0 <= ref < len(self._kinds)):
+        # exactly int: a bool is an int too, and True would pass for ref 1
+        if not (type(ref) is int and 0 <= ref < len(self._kinds)):
             raise ValueError(f"ref {ref!r} does not belong to this arena")
 
     # -- node accessors ----------------------------------------------------
@@ -218,23 +221,25 @@ class Arena:
         """
         intern = self._intern  # the tree is checked and refs on `vals` came from it
         vals: list[int] = []
+        push = vals.append
         for t in reversed(_tree_nodes(term)):
             head = t[0]
             if head == "var":
-                vals.append(intern(VAR, t[1]))
+                push(intern(VAR, t[1]))
             elif head == "not":
                 vals[-1] = intern(NEG, vals[-1])
-            elif head == "or" or head == "and":
+            elif head == "or":
                 k = len(t[1])
                 children = tuple(vals[-k:])
                 del vals[-k:]
-                if head == "or":
-                    vals.append(intern(JOIN, children))
-                else:
-                    negated = tuple([intern(NEG, c) for c in children])
-                    vals.append(intern(NEG, intern(JOIN, negated)))
+                push(intern(JOIN, children))
+            elif head == "and":
+                k = len(t[1])
+                negated = tuple([intern(NEG, c) for c in vals[-k:]])
+                del vals[-k:]
+                push(intern(NEG, intern(JOIN, negated)))
             else:
-                vals.append(intern(ZERO if head == "0" else ONE, head))
+                push(intern(ZERO if head == "0" else ONE, head))
         return vals[0]
 
     def export_tree(self, ref: int):

@@ -150,7 +150,8 @@ class Session:
 
     def _class_key(self, code: int):
         """Key of code's class (None for the constants); rejects unassigned codes."""
-        if not (isinstance(code, int) and 0 <= code < 2 * len(self._classes)):
+        # exactly int: a bool is an int too, and True would pass for code 1
+        if not (type(code) is int and 0 <= code < 2 * len(self._classes)):
             raise ValueError(f"code {code!r} was never assigned in this session")
         return self._classes[code >> 1]
 
@@ -159,7 +160,7 @@ class Session:
     def normalize(self, ref: int) -> int:
         """Code of ref's equivalence class; memoized per node."""
         code = self._node_codes.get(ref)
-        if code is not None:
+        if code is not None and type(ref) is int:  # True and 1.0 find ref 1's entry
             self.stats.memo_hits += 1
             return code
         self.arena._check(ref)

@@ -30,6 +30,13 @@ is rejected, the first lexical error in it is reported if there is one,
 else the first syntax error.  `ParseError` spans are UTF-8 byte offsets,
 computed only then.
 
+`parse` scans the whole text with one `findall` of a group-free pattern
+(a name, a digit word or any other single non-whitespace character) and
+dispatches on each token string.  The parser is iterative and allocates
+no frame per parenthesised group: one operand list, and four integers
+per open ``(`` on one flat list, hold all its state.  Only a rejected
+text is scanned again, up to the failing token, to find its offset.
+
 Chains of one operator are flattened into a single n-ary node at parse
 time; parenthesised subformulas are kept as written, so ``a | (b | c)``
 parses to a nested disjunction.  Nested joins are only merged later, by
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import islice
 
 from .dag import _NAME_RE, _check_name, _tree_nodes
 
@@ -108,115 +116,128 @@ def Or(children: tuple[Formula, ...]) -> Formula:
 # --------------------------------------------------------------------------
 # Scanner
 #
-# One match per token, straight from the text: whitespace first, then one
-# of the groups below.  Before the end of the text one of the first three
-# groups always matches, so a scan never skips a character.
+# `_WORD_RE.findall` cuts the whole text into tokens in one call.  The
+# pattern has no groups and no branch matches whitespace, so whitespace
+# falls between tokens; at any other character one branch matches, so no
+# character is skipped.
 
-_NAME, _DIGITS, _CHAR, _END = 1, 2, 3, 4
-_TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:"
-    rf"({_NAME_RE.pattern})"  # a variable name
-    r"|([0-9][A-Za-z0-9_]*)"  # a whole digit word, so "01" and "0a" fail as one token
-    r"|(.)"  # an operator, or an unexpected character
-    r"|(\Z))",  # the end of the text
-    re.DOTALL,
+_WORD_RE = re.compile(
+    rf"{_NAME_RE.pattern}"  # a variable name
+    r"|[0-9][A-Za-z0-9_]*"  # a whole digit word, so "01" and "0a" fail as one token
+    r"|[^ \t\r\n]"  # an operator, or an unexpected character
 )
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
-def _error(message: str, text: str, start: int, end: int) -> ParseError:
-    """A ParseError for the characters text[start:end], spanned in UTF-8 bytes."""
+def _error(message: str, text: str, tokens: list, i: int) -> ParseError:
+    """A ParseError for tokens[i], or for the end of the text if i == len(tokens).
+
+    The token's character offset is found by scanning the text again up to
+    it, and the span is given in UTF-8 bytes.
+    """
+    if i == len(tokens):
+        start = end = len(text)
+    else:
+        start, end = next(islice(_WORD_RE.finditer(text), i, None)).span()
     # a lone surrogate (an undecodable argv byte, say) has no UTF-8 form;
     # surrogatepass measures it instead of raising
     bstart, width = (len(part.encode("utf-8", "surrogatepass")) for part in (text[:start], text[start:end]))
     return ParseError(message, SourceSpan(bstart, bstart + width))
 
 
-def _syntax_error(message: str, text: str, m: re.Match) -> ParseError:
-    """The error for token m, which the grammar does not allow where it stands.
+def _syntax_error(message: str, text: str, tokens: list, i: int) -> ParseError:
+    """The error for tokens[i], which the grammar does not allow where it stands.
 
-    A token outside the language at m or after it is reported instead, so
-    the first lexical error in the text wins over any syntax error.
+    A token outside the language at i or after it is reported instead, so
+    the first lexical error in the text wins over any syntax error.  The
+    tokens before i were all accepted, so none of them is one.
     """
-    for t in _TOKEN_RE.finditer(text, m.start()):
-        kind = t.lastindex
-        word = t[kind]
-        if kind == _DIGITS and word not in ("0", "1"):
-            return _error(f"bad token {word!r}", text, t.start(kind), t.end(kind))
-        if kind == _CHAR and word not in "!~&|()":
-            return _error(f"unexpected character {word!r}", text, t.start(kind), t.end(kind))
-    kind = m.lastindex
-    return _error(message, text, m.start(kind), m.end(kind))
+    for j in range(i, len(tokens)):
+        word = tokens[j]
+        if word[0] in _NAME_START:
+            continue
+        if word[0] in "0123456789":
+            if word != "0" and word != "1":
+                return _error(f"bad token {word!r}", text, tokens, j)
+        elif word not in "!~&|()":
+            return _error(f"unexpected character {word!r}", text, tokens, j)
+    return _error(message, text, tokens, i)
 
 
 # --------------------------------------------------------------------------
 # Parser
 #
 # Iterative so that deeply parenthesised input cannot overflow the Python
-# stack.  A frame is a pair [or_parts, and_parts] collecting the current
-# disjunction; parentheses push/pop frames.
-
-
-def _close_conj(frame: list) -> None:
-    or_parts, and_parts = frame
-    or_parts.append(and_parts[0] if len(and_parts) == 1 else ("and", tuple(and_parts)))
-    frame[1] = []
-
-
-def _finish(frame: list) -> Formula:
-    _close_conj(frame)
-    or_parts = frame[0]
-    return or_parts[0] if len(or_parts) == 1 else ("or", tuple(or_parts))
+# stack.  `out` holds the finished operands of every open group, innermost
+# last: the current disjunction's parts from `or_start` on, the current
+# conjunction's from `and_start` on.  A `(` saves those two offsets, its
+# pending negations and its token index on the flat int list `opens`; a
+# conjunction or disjunction closes by replacing its slice of `out` with
+# one node.
 
 
 def parse(text: str) -> Formula:
     """Parse a surface formula; raises ParseError with a span on bad input."""
-    frame: list = [[], []]
-    stack: list = []  # (frame, pending negations, offset of the "(")
-    negs = 0
+    tokens = _WORD_RE.findall(text)
+    out: list = []
+    opens: list[int] = []  # or_start, and_start, negations, token index per open "("
+    or_start = and_start = negs = 0
     want_operand = True
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastindex
-        word = m[kind]
+    for i, word in enumerate(tokens):
         if want_operand:
-            if kind == _NAME or word == "0" or word == "1":
-                # the scanner has matched the name grammar already
-                node: Formula = ("var", word) if kind == _NAME else (word,)
-                for _ in range(negs):
-                    node = ("not", node)
+            if word == "(":
+                opens += (or_start, and_start, negs, i)
+                or_start = and_start = len(out)
                 negs = 0
-                frame[1].append(node)
-                want_operand = False
-            elif word == "!" or word == "~":
+                continue
+            if word == "!" or word == "~":
                 negs += 1
-            elif word == "(":
-                stack.append((frame, negs, m.start(kind)))
-                frame = [[], []]
-                negs = 0
+                continue
+            if word[0] in _NAME_START:
+                # the scanner has matched the name grammar already
+                node: Formula = ("var", word)
+            elif word == "0" or word == "1":
+                node = (word,)
             else:
-                raise _syntax_error("expected an operand", text, m)
+                raise _syntax_error("expected an operand", text, tokens, i)
+            while negs:
+                node = ("not", node)
+                negs -= 1
+            out.append(node)
+            want_operand = False
+        elif word == "|":
+            if len(out) - and_start > 1:
+                out[and_start:] = [("and", tuple(out[and_start:]))]
+            and_start = len(out)
+            want_operand = True
+        elif word == "&":
+            want_operand = True
+        elif word == ")":
+            if not opens:
+                raise _syntax_error("unmatched ')'", text, tokens, i)
+            if len(out) - and_start > 1:
+                out[and_start:] = [("and", tuple(out[and_start:]))]
+            if len(out) - or_start > 1:
+                node = ("or", tuple(out[or_start:]))
+                del out[or_start:]
+            else:
+                node = out.pop()
+            or_start, and_start, negs = opens[-4:-1]
+            del opens[-4:]
+            while negs:
+                node = ("not", node)
+                negs -= 1
+            out.append(node)
         else:
-            if word == "&":
-                want_operand = True
-            elif word == "|":
-                _close_conj(frame)
-                want_operand = True
-            elif word == ")":
-                if not stack:
-                    raise _syntax_error("unmatched ')'", text, m)
-                node = _finish(frame)
-                frame, pending, _ = stack.pop()
-                for _ in range(pending):
-                    node = ("not", node)
-                frame[1].append(node)
-            elif kind == _END:
-                if stack:
-                    # the whole text is scanned, so no lexical error remains
-                    lparen = stack[-1][2]
-                    raise _error("unclosed '('", text, lparen, lparen + 1)
-                return _finish(frame)
-            else:
-                raise _syntax_error("expected an operator", text, m)
-    raise AssertionError("unreachable")  # pragma: no cover
+            raise _syntax_error("expected an operator", text, tokens, i)
+    if want_operand:
+        raise _syntax_error("expected an operand", text, tokens, len(tokens))
+    if opens:
+        # the whole text is scanned, so no lexical error remains
+        raise _error("unclosed '('", text, tokens, opens[-1])
+    if len(out) - and_start > 1:
+        out[and_start:] = [("and", tuple(out[and_start:]))]
+    return ("or", tuple(out)) if len(out) > 1 else out[0]
 
 
 # --------------------------------------------------------------------------

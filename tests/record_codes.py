@@ -24,7 +24,15 @@ Inputs, each run with size_scheduling True and then False:
 * the bench families fig6, fig7 and a9 at 2^4..2^12 surface nodes, each
   in a fresh session.
 
-It takes about a minute and writes 525,286 lines.  Not collected by
+A parse section follows.  For every input formula above (once, not per
+scheduling mode), ``parse(print_formula(f))`` is interned into a fresh
+arena and its ref, ``len(arena)`` and `formula_nodes` are recorded.  Then
+100,000 seeded random texts over names, ``0``/``1``/``01``/``0a``, the
+operators ``!~&|()``, spaces, tabs, a form feed, ``é``, ``٣`` and a lone
+surrogate are parsed; each row holds the parsed `print_formula` or the
+`ParseError` message and span.
+
+It takes about a minute and writes 756,621 lines.  Not collected by
 pytest (the file name does not start with ``test_``).
 """
 
@@ -34,13 +42,16 @@ import json
 import random
 import sys
 
-from ocbsl import Arena, Session, formula_nodes, print_formula, print_term, to_internal
+from ocbsl import Arena, ParseError, Session, formula_nodes, parse, print_formula, print_term, to_internal
 from ocbsl.bench import family_scale, gen_family
 from enum_terms import enumerate_terms
 from gen import disturbed, random_formula
 
 PAIRS = 20_000
 SEED = 7
+TEXTS = 100_000
+# pieces of the random parser inputs; "\udcff" is a lone surrogate
+PIECES = ["a", "b", "x_1", "abc_12", "0", "1", "01", "0a", *"!~&|()", " ", "\t", "\x0c", "é", "٣", "\udcff"]
 
 
 def record(out, label: str, session: Session, formula) -> None:
@@ -61,6 +72,27 @@ def record(out, label: str, session: Session, formula) -> None:
         "text": print_formula(formula),
     }
     out.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def record_parse(out, label: str, formula) -> None:
+    arena = Arena()
+    parsed = parse(print_formula(formula))
+    row = {"in": label, "ref": to_internal(parsed, arena), "nodes": len(arena), "size": formula_nodes(parsed)}
+    out.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def record_text(out, label: str, text: str) -> None:
+    try:
+        row = {"in": label, "text": text, "parsed": print_formula(parse(text))}
+    except ParseError as err:
+        row = {"in": label, "text": text, "error": err.message, "span": list(err.span)}
+    out.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def random_texts():
+    rng = random.Random(SEED)
+    for _ in range(TEXTS):
+        yield "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 12)))
 
 
 def fresh(scheduling: bool) -> Session:
@@ -98,6 +130,16 @@ def main(path: str) -> None:
                 for e in range(4, 13):
                     f = gen_family(family, family_scale(family, 2**e))
                     record(out, f"{tag}/{family}/{e}", fresh(scheduling), f)
+        for i, t in enumerate(terms):
+            record_parse(out, f"parse/enum/{i}", t)
+        for i, (f, g) in enumerate(pairs):
+            record_parse(out, f"parse/pair/{i}/f", f)
+            record_parse(out, f"parse/pair/{i}/g", g)
+        for family in ("fig6", "fig7", "a9"):
+            for e in range(4, 13):
+                record_parse(out, f"parse/{family}/{e}", gen_family(family, family_scale(family, 2**e)))
+        for i, text in enumerate(random_texts()):
+            record_text(out, f"text/{i}", text)
 
 
 if __name__ == "__main__":

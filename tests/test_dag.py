@@ -50,9 +50,16 @@ def test_ref_validation():
     with pytest.raises(ValueError):
         arena.join((a,))
     arena.var("a")
+    arena.var("b")
     for ref in (-1, len(arena)):
         with pytest.raises(ValueError):
             print_term(arena, ref)
+    # a bool is an int, but never a ref: True would otherwise stand for ref 1
+    for ref in (True, False, 1.0):
+        for use in (arena.neg, lambda r: arena.join((r,)), lambda r: print_term(arena, r), arena.tree_size):
+            with pytest.raises(ValueError, match="does not belong to this arena"):
+                use(ref)
+    assert len(arena) == 2
 
 
 def test_reverse_topological_order_basics():

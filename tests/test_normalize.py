@@ -111,6 +111,21 @@ def test_join_class_members():
     assert s.join_class_members(1) is None
     with pytest.raises(ValueError):
         s.join_class_members(cab + 1000)
+    # a bool is an int, but never a code: True would otherwise read code 1
+    for code in (True, False):
+        for use in (s.join_class_members, s.extract_normal_form):
+            with pytest.raises(ValueError, match="never assigned"):
+                use(code)
+
+
+def test_normalize_rejects_a_bool_ref():
+    arena, s = fresh()
+    ab = arena.join((arena.var("a"), arena.var("b")))
+    s.normalize(ab)
+    # refs 0 and 1 (a and b) are memoized now, and False, True and 1.0 hash like them
+    for ref in (True, False, 1.0):
+        with pytest.raises(ValueError, match="does not belong to this arena"):
+            s.normalize(ref)
 
 
 def test_equivalent():

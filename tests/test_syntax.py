@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocbsl import Arena
 from ocbsl.syntax import (
@@ -15,6 +18,7 @@ from ocbsl.syntax import (
     print_formula,
     to_internal,
 )
+from ocbsl.bench import family_scale, gen_family
 from gen import random_formula
 
 
@@ -81,6 +85,10 @@ def test_parse_errors(text):
         # the first lexical error wins over an earlier syntax error
         ("a b é", "unexpected character 'é'", 4, 6),
         ("a | | 02", "bad token '02'", 6, 8),
+        # an error at the end of the text is spanned there, after any whitespace
+        ("a |  ", "expected an operand", 5, 5),
+        # the failing token is found by position, not by what precedes it
+        ("abc_12 | | b", "expected an operand", 9, 10),
     ],
 )
 def test_parse_error_messages_and_byte_spans(text, message, start, end):
@@ -88,6 +96,42 @@ def test_parse_error_messages_and_byte_spans(text, message, start, end):
         parse(text)
     assert (err.value.message, err.value.span.start, err.value.span.end) == (message, start, end)
     assert str(err.value) == f"{message} at bytes {start}..{end}"
+
+
+# pieces of random parser inputs; "\udcff" is a lone surrogate
+_PIECES = ["a", "b", "x_1", "abc_12", "0", "1", "01", "0a", *"!~&|()", " ", "\t", "\x0c", "é", "٣", "\udcff"]
+
+
+@settings(max_examples=1000, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_parse_round_trips_or_spans_the_offending_bytes(text):
+    try:
+        f = parse(text)
+    except ParseError as err:
+        data = text.encode("utf-8", "surrogatepass")
+        start, end = err.span
+        assert 0 <= start <= end <= len(data)
+        spanned = data[start:end].decode("utf-8", "surrogatepass")
+        for prefix in ("bad token ", "unexpected character "):
+            if err.message.startswith(prefix):
+                assert err.message == prefix + repr(spanned)
+    else:
+        assert parse(print_formula(f)) == f
+
+
+def test_parse_peak_memory_is_near_what_the_result_keeps():
+    # tracemalloc counts bytes, so this is deterministic for one interpreter
+    text = print_formula(gen_family("fig6", family_scale("fig6", 2**15)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f = parse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert formula_nodes(f) == 2**15 - 1
+    assert (peak - base) / (kept - base) <= 1.5
 
 
 def test_deep_parentheses_do_not_overflow():

@@ -22,7 +22,7 @@ Typical use::
 independent oracles used to cross-check the fast path.
 """
 
-from .dag import Arena, ArenaFullError, print_term
+from .dag import Arena, print_term
 from .normalize import ONE_CODE, ZERO_CODE, Session, Stats, neg_of
 from .syntax import (
     And,
@@ -42,7 +42,6 @@ from .syntax import (
 __all__ = [
     "And",
     "Arena",
-    "ArenaFullError",
     "Const",
     "Formula",
     "Not",

@@ -19,7 +19,7 @@ import os
 import sys
 
 from .bench import FAMILIES, report_tsv, run_bench
-from .dag import Arena, ArenaFullError, print_term
+from .dag import Arena, print_term
 from .normalize import Session
 from .syntax import ParseError, parse, to_internal
 
@@ -186,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a full disk shows here, not after main returns
-    except (MemoryError, ArenaFullError) as exc:
+    except MemoryError as exc:
         # exit 1 means "not equivalent", so running out of room must not crash into it
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR

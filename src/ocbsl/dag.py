@@ -26,7 +26,7 @@ with k >= 1.  `intern_tree` also takes the surface conjunction
 ``!(!t1 | ... | !tk)``, so it is the one builder from any formula tree to
 refs; `export_tree` never emits "and".  `_tree_nodes` checks the shape of
 the whole tree before `intern_tree` interns any of it, so a malformed tree
-interns nothing; only `ArenaFullError` can stop a build part-way.
+interns nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import reprlib
 
 __all__ = [
     "Arena",
-    "ArenaFullError",
     "VAR",
     "ZERO",
     "ONE",
@@ -87,10 +86,6 @@ def _tree_nodes(term) -> list:
     return nodes
 
 
-class ArenaFullError(RuntimeError):
-    """Raised when interning would exceed the arena's node limit."""
-
-
 class Arena:
     """Single-writer store of interned term nodes.
 
@@ -98,7 +93,7 @@ class Arena:
     Frozen arenas may be read concurrently; interning is not thread-safe.
     """
 
-    def __init__(self, max_nodes: int | None = None):
+    def __init__(self):
         self._kinds: list[int] = []
         # Payloads are the memo keys.  Keys of different kinds cannot
         # collide: refs are ints, children are tuples, and names are
@@ -106,7 +101,6 @@ class Arena:
         self._payload: list = []
         self._memo: dict = {}  # payload -> ref
         self._sizes: list[int] = []  # expanded tree size, saturating at SIZE_CAP
-        self._max_nodes = max_nodes
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -117,8 +111,6 @@ class Arena:
         if ref is not None:
             return ref
         ref = len(self._kinds)
-        if self._max_nodes is not None and ref >= self._max_nodes:
-            raise ArenaFullError(f"arena limit of {self._max_nodes} nodes reached")
         sizes = self._sizes
         if kind == NEG:
             size = sizes[payload] + 1
@@ -162,19 +154,23 @@ class Arena:
     # -- node accessors ----------------------------------------------------
 
     def kind(self, ref: int) -> int:
+        self._check(ref)
         return self._kinds[ref]
 
     def var_name(self, ref: int) -> str:
+        self._check(ref)
         if self._kinds[ref] != VAR:
             raise ValueError("not a variable node")
         return self._payload[ref]
 
     def neg_child(self, ref: int) -> int:
+        self._check(ref)
         if self._kinds[ref] != NEG:
             raise ValueError("not a negation node")
         return self._payload[ref]
 
     def join_children(self, ref: int) -> tuple[int, ...]:
+        self._check(ref)
         if self._kinds[ref] != JOIN:
             raise ValueError("not a join node")
         return self._payload[ref]
@@ -216,8 +212,7 @@ class Arena:
         raises ValueError with nothing interned.  Then, in post-order, a
         node's children are interned left to right before it, and an "and"
         interns the negated children left to right, then their join, then
-        its negation.  `ArenaFullError` can still stop the build part-way,
-        leaving the nodes interned before it.
+        its negation.
         """
         intern = self._intern  # the tree is checked and refs on `vals` came from it
         vals: list[int] = []
@@ -268,6 +263,7 @@ def print_term(arena: Arena, ref: int) -> str:
     Deterministic: children appear in stored order.
     """
     arena._check(ref)
+    kinds, payload = arena._kinds, arena._payload  # children of a checked ref are refs
     out: list[str] = []
     stack: list = [(ref, False)]
     while stack:
@@ -276,18 +272,12 @@ def print_term(arena: Arena, ref: int) -> str:
             out.append(item)
             continue
         n, need_parens = item
-        kind = arena.kind(n)
-        if kind == VAR:
-            out.append(arena.var_name(n))
-        elif kind == ZERO:
-            out.append("0")
-        elif kind == ONE:
-            out.append("1")
-        elif kind == NEG:
+        kind = kinds[n]
+        if kind == NEG:
             out.append("!")
-            stack.append((arena.neg_child(n), True))
-        else:
-            children = arena.join_children(n)
+            stack.append((payload[n], True))
+        elif kind == JOIN:
+            children = payload[n]
             if need_parens:
                 out.append("(")
                 stack.append(")")
@@ -297,4 +287,6 @@ def print_term(arena: Arena, ref: int) -> str:
                     stack.append(" | ")
                 stack.append((c, True))
                 first = False
+        else:  # a leaf's payload is its text: the name, "0" or "1"
+            out.append(payload[n])
     return "".join(out)

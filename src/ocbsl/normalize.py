@@ -42,7 +42,7 @@ unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 
 from __future__ import annotations
 
-from .dag import Arena, JOIN, NEG, ONE, VAR, ZERO
+from .dag import Arena, JOIN, NEG, ONE, ZERO
 
 __all__ = ["Session", "Stats", "neg_of", "ZERO_CODE", "ONE_CODE"]
 
@@ -222,6 +222,10 @@ class Session:
     # than everything still queued, and appending it keeps the order.  The
     # one exception is sizes saturated at SIZE_CAP, whose order is lost
     # anyway (see `dag.SIZE_CAP`).
+    #
+    # The pass reads the arena's columns directly rather than through the
+    # checked accessors: `normalize` checks the root, and every other ref
+    # the pass meets is a descendant of it.
 
     def _receive(self, fr: _JoinFrame, refs: tuple[int, ...]) -> None:
         """Queue child terms in a join frame.
@@ -230,6 +234,7 @@ class Session:
         Iterative: splicing a chain must not recurse.
         """
         arena = self.arena
+        kinds, payload = arena._kinds, arena._payload
         stats = self.stats
         node_codes = self._node_codes
         seen = fr.seen
@@ -241,18 +246,18 @@ class Session:
                 stats.a3_dedups += 1
                 continue
             seen.add(r)
-            if arena.kind(r) == JOIN and r not in node_codes:
+            if kinds[r] == JOIN and r not in node_codes:
                 stats.a2_flattens += 1
-                work.extend(reversed(arena.join_children(r)))
+                work.extend(reversed(payload[r]))
             else:
                 batch.append(r)
         if self.size_scheduling:
-            batch.sort(key=arena.tree_size)
+            batch.sort(key=arena._sizes.__getitem__)
         batch.reverse()
         fr.todo += batch
 
     def _run(self, root: int) -> int:
-        arena = self.arena
+        kinds, payload = self.arena._kinds, self.arena._payload
         stats = self.stats
         node_codes = self._node_codes
         scheduling = self.size_scheduling
@@ -266,12 +271,12 @@ class Session:
                 stats.memo_hits += 1
             else:
                 stats.nodes_visited += 1
-                kind = arena.kind(current)
+                kind = kinds[current]
                 if kind == NEG:
-                    child = arena.neg_child(current)
-                    if arena.kind(child) == NEG:
+                    child = payload[current]
+                    if kinds[child] == NEG:
                         stats.a6_strips += 1
-                        current = arena.neg_child(child)
+                        current = payload[child]
                     else:
                         stack.append(current)
                         current = child
@@ -279,14 +284,14 @@ class Session:
                 if kind == JOIN:
                     fr = _JoinFrame(current)
                     stack.append(fr)
-                    self._receive(fr, arena.join_children(current))
+                    self._receive(fr, payload[current])
                 else:
                     if kind == ZERO:
                         code = ZERO_CODE
                     elif kind == ONE:
                         code = ONE_CODE
                     else:
-                        code = self._code(arena.var_name(current))
+                        code = self._code(payload[current])
                     node_codes[current] = code
 
             # Deliver codes and advance join frames until a term needs resolving.
@@ -326,19 +331,19 @@ class Session:
                     stats.a2b_collapses += 1
                     seam = todo[0]
                     stack.pop()
-                    if stack and type(stack[-1]) is int and arena.kind(seam) == NEG:
+                    if stack and type(stack[-1]) is int and kinds[seam] == NEG:
                         stats.a6_strips += 1
-                        seam = arena.neg_child(seam)
+                        seam = payload[seam]
                         stack.pop()
                     if not stack or type(stack[-1]) is int:
                         current = seam  # resolved in place, under the negation if one is left
                     else:
-                        while arena.kind(seam) == NEG:
-                            child = arena.neg_child(seam)
-                            if arena.kind(child) != NEG:
+                        while kinds[seam] == NEG:
+                            child = payload[seam]
+                            if kinds[child] != NEG:
                                 break
                             stats.a6_strips += 1
-                            seam = arena.neg_child(child)
+                            seam = payload[child]
                         self._receive(stack[-1], (seam,))
                 else:
                     current = todo.pop()

@@ -1,70 +1,45 @@
-"""Truth-table semantics over {0, 1} for soundness testing.
+"""Packed truth-table semantics over {0, 1} for soundness testing.
 
 The coded normalizer proves strictly fewer equivalences than Boolean
 algebra (it has no distributivity or absorption), so whenever it reports
-two terms equal their truth tables must agree.  This module is the
-independent check of that direction: brute-force enumeration of all
-assignments, with `boolean_equivalent` packing the whole table into one
-big integer per node so the enumeration stays cheap.
+two formulas equal their truth tables must agree.  This module is the
+independent check of that direction.  It holds one evaluator per
+language, and each computes all 2**k rows at once, packed into one big
+integer per node (bit a is row a): `formula_table` over surface formulas,
+which calls no `dag` or `syntax` code and so checks the translation as
+well, and the walk over arena terms behind `boolean_equivalent`.
 """
 
 from __future__ import annotations
 
 import reprlib
 
-from .dag import Arena, JOIN, NEG, ONE, VAR, ZERO
-from . import syntax
+from .dag import Arena, JOIN, NEG, ONE, VAR
 
-__all__ = [
-    "MAX_VARIABLES",
-    "term_variables",
-    "eval_term",
-    "eval_formula",
-    "boolean_equivalent",
-]
+__all__ = ["MAX_VARIABLES", "formula_table", "boolean_equivalent"]
 
 # 2**20 truth-table rows is desk scale; needing more means the test design
 # is wrong, not this module.
 MAX_VARIABLES = 20
 
 
-def term_variables(arena: Arena, ref: int) -> list[str]:
-    """Sorted names of the variables occurring under ref."""
-    names = {
-        arena.var_name(n)
-        for n in arena.reverse_topological_order([ref])
-        if arena.kind(n) == VAR
-    }
-    return sorted(names)
+def _masks(names) -> tuple[int, dict[str, int]]:
+    """The table of 1 and the table of each name, name i being bit i of the row."""
+    if len(names) > MAX_VARIABLES:
+        raise ValueError(f"{len(names)} variables exceeds the cap of {MAX_VARIABLES}")
+    full = (1 << (1 << len(names))) - 1
+    # rows where bit i of the row index is 1
+    return full, {name: full - full // ((1 << (1 << i)) + 1) for i, name in enumerate(names)}
 
 
-def eval_term(arena: Arena, ref: int, assignment: dict[str, int]) -> int:
-    """Value of an internal term: join is max, negation is 1 - x."""
-    values: dict[int, int] = {}
-    for n in arena.reverse_topological_order([ref]):
-        kind = arena.kind(n)
-        if kind == ZERO:
-            values[n] = 0
-        elif kind == ONE:
-            values[n] = 1
-        elif kind == VAR:
-            name = arena.var_name(n)
-            if name not in assignment:
-                raise ValueError(f"unbound variable {name!r}")
-            values[n] = 1 if assignment[name] else 0
-        elif kind == NEG:
-            values[n] = 1 - values[arena.neg_child(n)]
-        else:
-            values[n] = max(values[c] for c in arena.join_children(n))
-    return values[ref]
+def formula_table(f, names) -> int:
+    """Packed table of a surface formula over names: and is &, or is |, not is full ^.
 
-
-def eval_formula(f: syntax.Formula, assignment: dict[str, int]) -> int:
-    """Standard Boolean value of a surface formula (and=min, or=max).
-
-    Post-order and iterative like `Arena.intern_tree`, so it takes any
-    depth `parse` does; a malformed node raises ValueError.
+    Post-order and iterative, so it takes any depth `parse` does.  A
+    malformed node, a variable not in names or more than MAX_VARIABLES
+    names raises ValueError.
     """
+    full, masks = _masks(names)
     stack = [(f, False)]
     vals: list[int] = []
     while stack:
@@ -72,61 +47,54 @@ def eval_formula(f: syntax.Formula, assignment: dict[str, int]) -> int:
         head = t[0] if type(t) is tuple and t else None
         if expanded:
             if head == "not":
-                vals.append(1 - vals.pop())
-            else:
-                k = len(t[1])
-                children = vals[len(vals) - k :]
-                del vals[len(vals) - k :]
-                vals.append(min(children) if head == "and" else max(children))
+                vals[-1] ^= full
+                continue
+            acc = vals.pop()
+            for _ in range(len(t[1]) - 1):
+                acc = acc & vals.pop() if head == "and" else acc | vals.pop()
+            vals.append(acc)
         elif head == "var" and len(t) == 2:
-            if t[1] not in assignment:
+            if t[1] not in masks:
                 raise ValueError(f"unbound variable {t[1]!r}")
-            vals.append(1 if assignment[t[1]] else 0)
+            vals.append(masks[t[1]])
         elif (head == "0" or head == "1") and len(t) == 1:
-            vals.append(int(head))
+            vals.append(full if head == "1" else 0)
         elif head == "not" and len(t) == 2:
             stack.append((t, True))
             stack.append((t[1], False))
         elif (head == "or" or head == "and") and len(t) == 2 and type(t[1]) is tuple and t[1]:
             stack.append((t, True))
-            for c in reversed(t[1]):
+            for c in t[1]:
                 stack.append((c, False))
         else:
             raise ValueError(f"bad formula node {reprlib.repr(t)}")
     return vals[0]
 
 
-def _truth_table(arena: Arena, ref: int, names: list[str]) -> int:
-    """All 2**k rows of ref's table packed into one int (bit a = row a)."""
-    k = len(names)
-    width = 1 << k
-    full = (1 << width) - 1
-    var_mask = {}
-    for i, name in enumerate(names):
-        # rows where bit i of the assignment index is 1
-        var_mask[name] = full - full // ((1 << (1 << i)) + 1)
+def _term_tables(arena: Arena, roots: list[int]) -> tuple[list[str], list[int]]:
+    """Sorted names of the variables under roots, and each root's table over them."""
+    order = arena.reverse_topological_order(roots)
+    kinds, payload = arena._kinds, arena._payload  # refs in order are checked
+    names = sorted({payload[n] for n in order if kinds[n] == VAR})
+    full, masks = _masks(names)
     tables: dict[int, int] = {}
-    for n in arena.reverse_topological_order([ref]):
-        kind = arena.kind(n)
-        if kind == ZERO:
-            tables[n] = 0
-        elif kind == ONE:
-            tables[n] = full
-        elif kind == VAR:
-            tables[n] = var_mask[arena.var_name(n)]
-        elif kind == NEG:
-            tables[n] = full ^ tables[arena.neg_child(n)]
-        else:
+    for n in order:
+        kind = kinds[n]
+        if kind == JOIN:
             acc = 0
-            for c in arena.join_children(n):
+            for c in payload[n]:
                 acc |= tables[c]
-            tables[n] = acc
-    return tables[ref]
+        elif kind == NEG:
+            acc = full ^ tables[payload[n]]
+        elif kind == VAR:
+            acc = masks[payload[n]]
+        else:
+            acc = full if kind == ONE else 0
+        tables[n] = acc
+    return names, [tables[r] for r in roots]
 
 
 def boolean_equivalent(arena: Arena, t1: int, t2: int) -> bool:
     """Whether both terms agree on every assignment to their variables."""
-    names = sorted(set(term_variables(arena, t1)) | set(term_variables(arena, t2)))
-    if len(names) > MAX_VARIABLES:
-        raise ValueError(f"{len(names)} variables exceeds the cap of {MAX_VARIABLES}")
-    return _truth_table(arena, t1, names) == _truth_table(arena, t2, names)
+    _, (table1, table2) = _term_tables(arena, [t1, t2])
+    return table1 == table2

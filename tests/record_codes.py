@@ -5,10 +5,13 @@
 Writes one JSON line per input formula: the ref `to_internal` returned,
 `len(arena)` after interning, the code, the join members of that code,
 every `Stats` field, the printed normal form, and the input's
-`formula_nodes` and `print_formula`.  Only the public API is used, so the
-same file runs against another checkout of the package, and a refactor of
-`dag`, `syntax` or `normalize` that keeps refs, codes, counters, normal
-forms and surface walks leaves the output byte-identical::
+`formula_nodes` and `print_formula`.  Rows of the random pairs also hold
+`semantics.boolean_equivalent` of the row's ref and an earlier one (see
+below).  Only the public API is used, so the same file runs against
+another checkout of the package, and a refactor of `dag`, `syntax`,
+`normalize` or `semantics` that keeps refs, codes, counters, normal forms,
+surface walks and truth-table verdicts leaves the output
+byte-identical::
 
     PYTHONPATH=<old checkout>/src:tests python3 tests/record_codes.py old.jsonl
     PYTHONPATH=src:tests python3 tests/record_codes.py new.jsonl
@@ -20,7 +23,9 @@ Inputs, each run with size_scheduling True and then False:
   one shared session;
 * 20,000 pairs of a `gen.random_formula` (2-40 nodes over a-d) and its
   `gen.disturbed` variant, each pair in a fresh session, then all in one
-  shared session;
+  shared session.  A g row in a fresh session records whether g is
+  Boolean-equal to its f; an f row in the shared session, whether f is
+  Boolean-equal to the g before it, so both answers occur;
 * the bench families fig6, fig7 and a9 at 2^4..2^12 surface nodes, each
   in a fresh session.
 
@@ -42,7 +47,7 @@ import json
 import random
 import sys
 
-from ocbsl import Arena, ParseError, Session, formula_nodes, parse, print_formula, print_term, to_internal
+from ocbsl import Arena, ParseError, Session, formula_nodes, parse, print_formula, print_term, semantics, to_internal
 from ocbsl.bench import family_scale, gen_family
 from enum_terms import enumerate_terms
 from gen import disturbed, random_formula
@@ -54,7 +59,8 @@ TEXTS = 100_000
 PIECES = ["a", "b", "x_1", "abc_12", "0", "1", "01", "0a", *"!~&|()", " ", "\t", "\x0c", "é", "٣", "\udcff"]
 
 
-def record(out, label: str, session: Session, formula) -> None:
+def record(out, label: str, session: Session, formula, against: int | None = None) -> int:
+    """Write formula's row; with `against`, also its Boolean equality to that ref."""
     arena = session.arena
     ref = to_internal(formula, arena)
     nodes = len(arena)
@@ -71,7 +77,10 @@ def record(out, label: str, session: Session, formula) -> None:
         "size": formula_nodes(formula),
         "text": print_formula(formula),
     }
+    if against is not None:
+        row["boolean"] = semantics.boolean_equivalent(arena, against, ref)
     out.write(json.dumps(row, separators=(",", ":")) + "\n")
+    return ref
 
 
 def record_parse(out, label: str, formula) -> None:
@@ -120,12 +129,13 @@ def main(path: str) -> None:
                 record(out, f"{tag}/enum/shared/{i}", shared, t)
             for i, (f, g) in enumerate(pairs):
                 session = fresh(scheduling)
-                record(out, f"{tag}/pair/fresh/{i}/f", session, f)
-                record(out, f"{tag}/pair/fresh/{i}/g", session, g)
+                ref_f = record(out, f"{tag}/pair/fresh/{i}/f", session, f)
+                record(out, f"{tag}/pair/fresh/{i}/g", session, g, against=ref_f)
             shared = fresh(scheduling)
+            ref_g = None
             for i, (f, g) in enumerate(pairs):
-                record(out, f"{tag}/pair/shared/{i}/f", shared, f)
-                record(out, f"{tag}/pair/shared/{i}/g", shared, g)
+                record(out, f"{tag}/pair/shared/{i}/f", shared, f, against=ref_g)
+                ref_g = record(out, f"{tag}/pair/shared/{i}/g", shared, g)
             for family in ("fig6", "fig7", "a9"):
                 for e in range(4, 13):
                     f = gen_family(family, family_scale(family, 2**e))

@@ -8,11 +8,12 @@ are equivalent exactly when their codes are equal.
 Codes come in plain/negated pairs: a class gets an even code 2k and its
 complement 2k+1, so negating a coded term is one XOR.  Codes 0 and 1 are
 reserved for the constants, which makes `!0 = 1` and `!1 = 0` structural.
+A node's code is memoized in a list indexed by its ref (refs are dense).
 
 The traversal is a single fused pass: one loop over one stack, which
 holds the negations waiting for their child's code and the join frames
-being filled.  It is iterative throughout (no Python recursion, so
-chain-shaped inputs of any depth are fine):
+(plain tuples) being filled.  It is iterative throughout (no Python
+recursion, so chain-shaped inputs of any depth are fine):
 
 * join children are deduplicated by handle and syntactically nested joins
   are spliced in before any child is normalized, so static nesting costs
@@ -38,11 +39,12 @@ O(m); one probe costs |members| of that class, which is at most the tree
 size of the child that brought the code in; and a class with more
 members than the join has codes cannot be a subset, so it is skipped
 unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
+`extract_normal_form` builds a code's term back, visiting each code once.
 """
 
 from __future__ import annotations
 
-from .dag import Arena, JOIN, NEG, ONE, ZERO
+from .dag import Arena, JOIN, NEG, ONE, VAR, ZERO
 
 __all__ = ["Session", "Stats", "neg_of", "ZERO_CODE", "ONE_CODE"]
 
@@ -100,16 +102,6 @@ class Stats:
         return {name: getattr(self, name) for name in self.FIELDS if name not in self._BOOKKEEPING}
 
 
-class _JoinFrame:
-    __slots__ = ("node", "acc", "todo", "seen")
-
-    def __init__(self, node: int):
-        self.node = node
-        self.acc: list[int] = []  # nonzero codes of finished children
-        self.todo: list[int] = []  # children still to normalize, smallest last
-        self.seen: set[int] = set()
-
-
 class Session:
     """Mutable state of one normalization run over one arena.
 
@@ -132,7 +124,7 @@ class Session:
         self.arena = arena
         self.size_scheduling = size_scheduling
         self.stats = Stats()
-        self._node_codes: dict[int, int] = {}  # TermRef -> code
+        self._node_codes: list = []  # TermRef -> code, or None if not coded yet
         self._classes: list = [None]  # class k -> its key; slot 0 is the constants
         self._codes: dict = {}  # key -> 2k
 
@@ -159,11 +151,13 @@ class Session:
 
     def normalize(self, ref: int) -> int:
         """Code of ref's equivalence class; memoized per node."""
-        code = self._node_codes.get(ref)
-        if code is not None and type(ref) is int:  # True and 1.0 find ref 1's entry
+        self.arena._check(ref)
+        node_codes = self._node_codes
+        node_codes += [None] * (len(self.arena) - len(node_codes))  # refs are dense: a slot per node
+        code = node_codes[ref]
+        if code is not None:
             self.stats.memo_hits += 1
             return code
-        self.arena._check(ref)
         return self._run(ref)
 
     def equivalent(self, a: int, b: int) -> bool:
@@ -176,58 +170,58 @@ class Session:
         return key if type(key) is tuple and not code & 1 else None
 
     def extract_normal_form(self, code: int) -> int:
-        """A term whose normalization yields `code`; join children ascend by code."""
+        """A term whose normalization yields `code`; join children ascend by code.
+
+        Visits each code once: a popped code pushes the marker `~c`, then its
+        parts (`c ^ 1`, or a join's members), and the marker interns the node.
+        """
         self._class_key(code)
-        arena = self.arena
+        # Every name and code in the class table came from this arena, so
+        # the checks of `var`, `neg` and `join` are redundant: intern directly.
+        intern = self.arena._intern
         classes = self._classes
         built: dict[int, int] = {}
         stack = [code]
         while stack:
-            c = stack[-1]
-            if c in built:
-                stack.pop()
+            c = stack.pop()
+            if c < 0:  # a marker: the parts of ~c are built
+                c = ~c
+                if c & 1:
+                    built[c] = intern(NEG, built[c ^ 1])
+                else:
+                    built[c] = intern(JOIN, tuple(map(built.__getitem__, classes[c >> 1])))
+            elif c in built:
                 continue
-            if c == ZERO_CODE:
-                built[c] = arena.zero()
-            elif c == ONE_CODE:
-                built[c] = arena.one()
+            elif c < 2:  # the constants
+                built[c] = intern(ONE, "1") if c == ONE_CODE else intern(ZERO, "0")
             elif c & 1:
-                base = c ^ 1
-                if base in built:
-                    built[c] = arena.neg(built[base])
-                else:
-                    stack.append(base)
-                    continue
+                stack += (~c, c ^ 1)
             else:
-                members = classes[c >> 1]  # a name or member codes
-                if type(members) is str:
-                    built[c] = arena.var(members)
+                key = classes[c >> 1]  # a name or member codes
+                if type(key) is str:
+                    built[c] = intern(VAR, key)
                 else:
-                    missing = [m for m in members if m not in built]
-                    if missing:
-                        stack.extend(missing)
-                        continue
-                    built[c] = arena.join(tuple(built[m] for m in members))
-            stack.pop()
+                    stack.append(~c)
+                    stack += key
         return built[code]
 
     # -- the fused pass ----------------------------------------------------------
 
-    # Each join frame's `todo` is kept sorted by tree size, largest first,
-    # so `pop()` takes the smallest child.  A batch is sorted once, stably,
-    # when it arrives, so equal sizes keep their arrival order.  Batches
-    # arrive in two ways: all children at once when the frame opens, or
-    # later as the seam of a collapsed child.  A seam is a proper subterm
-    # of a child that was popped as the smallest, so it is strictly smaller
-    # than everything still queued, and appending it keeps the order.  The
-    # one exception is sizes saturated at SIZE_CAP, whose order is lost
-    # anyway (see `dag.SIZE_CAP`).
+    # A join frame is a tuple (node, acc, todo, seen): the join's ref, the
+    # nonzero codes of finished children, the children still queued and the
+    # refs received.  `todo` is sorted by tree size, largest first, so
+    # `pop()` takes the smallest child.  A batch is sorted once, stably, when
+    # it arrives: all children when the frame opens, or later the seam of a
+    # collapsed child.  A seam is a proper subterm of a child popped as the
+    # smallest, so it is smaller than everything still queued and appending
+    # it keeps the order, except among sizes saturated at SIZE_CAP, whose
+    # order is lost anyway (see `dag.SIZE_CAP`).
     #
     # The pass reads the arena's columns directly rather than through the
     # checked accessors: `normalize` checks the root, and every other ref
     # the pass meets is a descendant of it.
 
-    def _receive(self, fr: _JoinFrame, refs: tuple[int, ...]) -> None:
+    def _receive(self, frame: tuple, refs: tuple[int, ...]) -> None:
         """Queue child terms in a join frame.
 
         Splices not-yet-coded joins and drops handle-level duplicates.
@@ -235,9 +229,9 @@ class Session:
         """
         arena = self.arena
         kinds, payload = arena._kinds, arena._payload
-        stats = self.stats
         node_codes = self._node_codes
-        seen = fr.seen
+        stats = self.stats
+        _, _, todo, seen = frame
         batch: list[int] = []
         work = list(reversed(refs))
         while work:
@@ -246,7 +240,7 @@ class Session:
                 stats.a3_dedups += 1
                 continue
             seen.add(r)
-            if kinds[r] == JOIN and r not in node_codes:
+            if kinds[r] == JOIN and node_codes[r] is None:
                 stats.a2_flattens += 1
                 work.extend(reversed(payload[r]))
             else:
@@ -254,99 +248,106 @@ class Session:
         if self.size_scheduling:
             batch.sort(key=arena._sizes.__getitem__)
         batch.reverse()
-        fr.todo += batch
+        todo += batch
 
     def _run(self, root: int) -> int:
         kinds, payload = self.arena._kinds, self.arena._payload
-        stats = self.stats
         node_codes = self._node_codes
+        receive, finish_join = self._receive, self._finish_join
         scheduling = self.size_scheduling
         stack: list = []  # negation refs awaiting their child's code, and join frames
         current = root  # term waiting to be resolved
-
-        while True:
-            # Resolve `current` into a code, or push a frame for it.
-            code = node_codes.get(current)
-            if code is not None:
-                stats.memo_hits += 1
-            else:
-                stats.nodes_visited += 1
-                kind = kinds[current]
-                if kind == NEG:
-                    child = payload[current]
-                    if kinds[child] == NEG:
-                        stats.a6_strips += 1
-                        current = payload[child]
-                    else:
-                        stack.append(current)
-                        current = child
-                    continue
-                if kind == JOIN:
-                    fr = _JoinFrame(current)
-                    stack.append(fr)
-                    self._receive(fr, payload[current])
-                else:
-                    if kind == ZERO:
-                        code = ZERO_CODE
-                    elif kind == ONE:
-                        code = ONE_CODE
-                    else:
-                        code = self._code(payload[current])
-                    node_codes[current] = code
-
-            # Deliver codes and advance join frames until a term needs resolving.
-            current = None
-            while current is None:
+        visited = memo = drops = strips = collapses = a10 = a11 = 0  # added to self.stats at the end
+        try:
+            while True:
+                # Resolve `current` into a code, or push a frame for it.
+                code = node_codes[current]
                 if code is not None:
-                    if not stack:
-                        node_codes[root] = code
-                        return code
-                    top = stack[-1]
-                    if type(top) is int:  # a negation
-                        if code == ZERO_CODE:
-                            stats.a10_hits += 1
-                        elif code == ONE_CODE:
-                            stats.a11_hits += 1
-                        code ^= 1
-                        node_codes[top] = code
-                        stack.pop()
-                        continue
-                    if code == ZERO_CODE:
-                        stats.a5_drops += 1
-                    else:
-                        top.acc.append(code)
-                    code = None
-                fr = stack[-1]
-                todo = fr.todo
-                if not todo:
-                    code = self._finish_join(fr.acc)
-                    node_codes[fr.node] = code
-                    stack.pop()
-                elif scheduling and not fr.acc and len(todo) == 1:
-                    # Everything processed so far vanished: the join *is*
-                    # its one remaining (largest) child.  Hand the child up
-                    # structurally instead of coding this join.  A
-                    # negation's child is never a negation, so the seam
-                    # climbs past at most one negation.
-                    stats.a2b_collapses += 1
-                    seam = todo[0]
-                    stack.pop()
-                    if stack and type(stack[-1]) is int and kinds[seam] == NEG:
-                        stats.a6_strips += 1
-                        seam = payload[seam]
-                        stack.pop()
-                    if not stack or type(stack[-1]) is int:
-                        current = seam  # resolved in place, under the negation if one is left
-                    else:
-                        while kinds[seam] == NEG:
-                            child = payload[seam]
-                            if kinds[child] != NEG:
-                                break
-                            stats.a6_strips += 1
-                            seam = payload[child]
-                        self._receive(stack[-1], (seam,))
+                    memo += 1
                 else:
-                    current = todo.pop()
+                    visited += 1
+                    kind = kinds[current]
+                    if kind == NEG:
+                        child = payload[current]
+                        if kinds[child] == NEG:
+                            strips += 1
+                            current = payload[child]
+                        else:
+                            stack.append(current)
+                            current = child
+                        continue
+                    if kind == JOIN:
+                        stack.append((current, [], [], set()))
+                        receive(stack[-1], payload[current])
+                    else:
+                        if kind == ZERO:
+                            code = ZERO_CODE
+                        elif kind == ONE:
+                            code = ONE_CODE
+                        else:
+                            code = self._code(payload[current])
+                        node_codes[current] = code
+
+                # Deliver codes and advance join frames until a term needs resolving.
+                current = None
+                while current is None:
+                    if code is not None:
+                        if not stack:
+                            node_codes[root] = code
+                            return code
+                        top = stack[-1]
+                        if type(top) is int:  # a negation
+                            if code == ZERO_CODE:
+                                a10 += 1
+                            elif code == ONE_CODE:
+                                a11 += 1
+                            code ^= 1
+                            node_codes[stack.pop()] = code
+                            continue
+                        if code == ZERO_CODE:
+                            drops += 1
+                        else:
+                            top[1].append(code)
+                        code = None
+                    node, acc, todo, _ = stack[-1]
+                    if not todo:
+                        code = finish_join(acc)
+                        node_codes[node] = code
+                        stack.pop()
+                    elif scheduling and not acc and len(todo) == 1:
+                        # Everything processed so far vanished: the join *is*
+                        # its one remaining (largest) child.  Hand the child up
+                        # structurally instead of coding this join.  A
+                        # negation's child is never a negation, so the seam
+                        # climbs past at most one negation.
+                        collapses += 1
+                        seam = todo[0]
+                        stack.pop()
+                        if stack and type(stack[-1]) is int and kinds[seam] == NEG:
+                            strips += 1
+                            seam = payload[seam]
+                            stack.pop()
+                        if not stack or type(stack[-1]) is int:
+                            current = seam  # resolved in place, under the negation if one is left
+                        else:
+                            while kinds[seam] == NEG:
+                                child = payload[seam]
+                                if kinds[child] != NEG:
+                                    break
+                                strips += 1
+                                seam = payload[child]
+                            receive(stack[-1], (seam,))
+                    else:
+                        current = todo.pop()
+        finally:
+            stats = self.stats
+            stats.nodes_visited += visited
+            stats.memo_hits += memo
+            stats.a5_drops += drops
+            stats.a6_strips += strips
+            stats.a2b_collapses += collapses
+            stats.a10_hits += a10
+            stats.a11_hits += a11
 
     def _finish_join(self, acc: list[int]) -> int:
         """Code of a join whose children have the nonzero codes `acc`.
@@ -372,15 +373,14 @@ class Session:
         stats.merge_work += len(flat)
         present = set(flat)
         stats.a3_dedups += len(flat) - len(present)
-        # complement pair: (2k, 2k+1) share the class number k
-        if len({c >> 1 for c in present}) < len(present):
+        # complement pair: c and c ^ 1 both present
+        if not present.isdisjoint(map((1).__xor__, present)):
             stats.a7_hits += 1
             return ONE_CODE
         codes = tuple(sorted(present))
-        # Negated join class whose members all occur among the children.
-        # One probe costs |members|, at most the tree size of the child
-        # that brought the code in; a class with more members than the
-        # join has codes cannot be a subset.
+        # A9: a negated join class whose members all occur here.  A probe
+        # costs |members|, at most the tree size of the child that brought
+        # the code in; a class with more members than m cannot be a subset.
         m = len(codes)
         for c in codes:
             if c & 1:

@@ -4,7 +4,8 @@
 
 Writes one JSON line per input formula: the ref `to_internal` returned,
 `len(arena)` after interning, the code, the join members of that code,
-every `Stats` field, the printed normal form, and the input's
+every `Stats` field, the printed normal form, the ref
+`extract_normal_form` returned and `len(arena)` after it, and the input's
 `formula_nodes` and `print_formula`.  Rows of the random pairs also hold
 `semantics.boolean_equivalent` of the row's ref and an earlier one (see
 below).  Only the public API is used, so the same file runs against
@@ -66,6 +67,7 @@ def record(out, label: str, session: Session, formula, against: int | None = Non
     nodes = len(arena)
     code = session.normalize(ref)
     members = session.join_class_members(code)
+    nf_ref = session.extract_normal_form(code)
     row = {
         "in": label,
         "ref": ref,
@@ -73,7 +75,9 @@ def record(out, label: str, session: Session, formula, against: int | None = Non
         "code": code,
         "members": members,
         "stats": vars(session.stats),
-        "nf": print_term(arena, session.extract_normal_form(code)),
+        "nf": print_term(arena, nf_ref),
+        "nf_ref": nf_ref,
+        "nodes_after_nf": len(arena),
         "size": formula_nodes(formula),
         "text": print_formula(formula),
     }

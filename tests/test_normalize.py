@@ -146,6 +146,13 @@ def test_extract_normal_form():
     assert s.extract_normal_form(c1) == s.extract_normal_form(c2)
     ca = code_of(s, "!!a")
     assert s.extract_normal_form(ca) == arena.var("a")
+    # a post-order that takes members last to first: !(!(b | a) | c), the
+    # root's last member, is interned before !(d | !(b | a))
+    arena, s = fresh()
+    nf_ref = s.extract_normal_form(code_of(s, "!(!(b | a) | d) | !(c | !(a | b)) | e"))
+    assert (nf_ref, len(arena)) == (18, 19)
+    assert arena.join_children(nf_ref) == (arena.var("e"), 17, 15)
+    assert [print_term(arena, r) for r in (15, 17)] == ["!(!(b | a) | c)", "!(d | !(b | a))"]
     with pytest.raises(ValueError):
         s.extract_normal_form(99999)
 
@@ -363,30 +370,36 @@ _A9_NF = " | ".join([f"a{i}" for i in range(1, _A9_N + 1)] + [f"!(a{i} | b{i})" 
 
 # Every Stats field and the printed normal form, pinned so that a rewrite
 # of the fused pass cannot move a counter or the order codes are assigned
-# in.  Fields not listed are 0.
+# in; and the ref extraction returns with len(arena) after it, so that a
+# rewrite of extraction cannot move the order it interns nodes in.  Fields
+# not listed are 0.
 @pytest.mark.parametrize(
-    "formula, scheduling, printed, counters",
+    "formula, scheduling, printed, counters, extracted",
     [
         pytest.param(
             gen_family("fig6", _FIG6_N), True, _FIG6_NF,
             dict(a2_flattens=510, nodes_visited=513, codes_allocated=513, merge_work=512),
+            (1023, 1024),
             id="fig6",
         ),
         pytest.param(
             gen_family("fig7", _FIG7_N), True, _FIG7_NF,
             dict(a2_flattens=102, a2b_collapses=102, a5_drops=102, a6_strips=101, a7_hits=102, a11_hits=102,
                  nodes_visited=719, memo_hits=102, codes_allocated=208, merge_work=311),
+            (921, 922),
             id="fig7",
         ),
         pytest.param(
             gen_family("a9", _A9_N), True, _A9_NF,
             dict(nodes_visited=817, memo_hits=204, codes_allocated=613, merge_work=816, a9_probe_work=408),
+            (817, 818),
             id="a9",
         ),
         # equal-size children are coded in stored order
         pytest.param(
             parse("b | a"), True, "b | a",
             dict(nodes_visited=3, codes_allocated=3, merge_work=2),
+            (2, 3),
             id="equal-sizes",
         ),
         # the seam b | c | d | e cancels one negation and becomes the root
@@ -394,6 +407,7 @@ _A9_NF = " | ".join([f"a{i}" for i in range(1, _A9_N + 1)] + [f"!(a{i} | b{i})" 
             parse("!(!(a | !a) | !(b | c | d | e))"), True, "b | c | d | e",
             dict(a2b_collapses=1, a5_drops=1, a6_strips=1, a7_hits=1, a11_hits=1,
                  nodes_visited=11, memo_hits=1, codes_allocated=6, merge_work=6),
+            (8, 12),
             id="seam-is-root",
         ),
         # the seam crosses a negation, loses `!!` and is spliced into the root join
@@ -401,22 +415,34 @@ _A9_NF = " | ".join([f"a{i}" for i in range(1, _A9_N + 1)] + [f"!(a{i} | b{i})" 
             parse("x | !(!(a | !a) | !!!(b | c | d | e))"), True, "x | b | c | d | e",
             dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=2, a7_hits=1, a11_hits=1,
                  nodes_visited=12, memo_hits=1, codes_allocated=7, merge_work=7),
+            (16, 17),
             id="seam-spliced",
         ),
         pytest.param(
             gen_family("fig7", _FIG7_N), False, _FIG7_NF,
             dict(a2_flattens=102, a2b_collapses=102, a5_drops=102, a7_hits=102, a11_hits=102,
                  nodes_visited=921, memo_hits=102, codes_allocated=309, merge_work=5765),
+            (921, 922),
             id="fig7-stored-order",
+        ),
+        # the class of b | a is reached through two parents, each time under
+        # a negation; extraction interns five new nodes, the last member first
+        pytest.param(
+            parse("!(!(b | a) | d) | !(c | !(a | b)) | e"), True, "e | !(d | !(b | a)) | !(!(b | a) | c)",
+            dict(nodes_visited=14, memo_hits=2, codes_allocated=9, merge_work=11, a9_probe_work=8),
+            (18, 19),
+            id="shared-class",
         ),
     ],
 )
-def test_golden_stats_and_normal_form(formula, scheduling, printed, counters):
+def test_golden_stats_and_normal_form(formula, scheduling, printed, counters, extracted):
     arena = Arena()
     s = Session(arena, size_scheduling=scheduling)
     code = s.normalize(to_internal(formula, arena))
     assert vars(s.stats) == vars(Stats(**counters))
-    assert print_term(arena, s.extract_normal_form(code)) == printed
+    nf_ref = s.extract_normal_form(code)
+    assert (nf_ref, len(arena)) == extracted
+    assert print_term(arena, nf_ref) == printed
 
 
 STATS_FIELDS = [

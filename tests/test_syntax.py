@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocbsl import Arena
+from ocbsl import Arena, Session
 from ocbsl.syntax import (
     And,
     Const,
@@ -132,6 +132,24 @@ def test_parse_peak_memory_is_near_what_the_result_keeps():
         tracemalloc.stop()
     assert formula_nodes(f) == 2**15 - 1
     assert (peak - base) / (kept - base) <= 1.5
+
+
+@pytest.mark.parametrize("family, bound", [("fig6", 78), ("fig7", 42), ("a9", 75)])
+def test_session_bytes_per_surface_node(family, bound):
+    # what a session keeps after normalizing a 2^15-node formula: node codes
+    # in a list indexed by ref, the class table and the codes' dict
+    f = gen_family(family, family_scale(family, 2**15))
+    arena = Arena()
+    ref = to_internal(f, arena)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        session = Session(arena)
+        session.normalize(ref)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (kept - base) / formula_nodes(f) <= bound, session.stats
 
 
 def test_deep_parentheses_do_not_overflow():

@@ -36,8 +36,8 @@ pair (2k, 2k+1) shares the class number k, and a negated join class
 whose member set is contained in the child set annihilates the join to 1
 (A9).  The A9 check stays linear in the join: the set is built once, in
 O(m); one probe costs |members| of that class, which is at most the tree
-size of the child that brought the code in; and a class with more
-members than the join has codes cannot be a subset, so it is skipped
+size of the child that brought the code in; and a class with at least as
+many members as the join has codes cannot be a subset, so it is skipped
 unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 `extract_normal_form` builds a code's term back, visiting each code once.
 """
@@ -379,13 +379,13 @@ class Session:
             return ONE_CODE
         codes = tuple(sorted(present))
         # A9: a negated join class whose members all occur here.  A probe
-        # costs |members|, at most the tree size of the child that brought
-        # the code in; a class with more members than m cannot be a subset.
+        # costs |members|, at most the child's tree size.  The probed code is
+        # one of the m codes and not a member, so m or more members never fit.
         m = len(codes)
         for c in codes:
             if c & 1:
                 members = classes[c >> 1]
-                if type(members) is not tuple or len(members) > m:
+                if type(members) is not tuple or len(members) >= m:
                     continue
                 stats.a9_probe_work += len(members)
                 if present.issuperset(members):

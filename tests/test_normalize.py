@@ -314,6 +314,11 @@ def test_a9_size_guard_skips_larger_classes():
     t = arena.join((a, arena.var("b"), arena.var("c"), arena.var("d"), arena.neg(big)))
     assert _a9_verdict_agrees(s, t) == ONE_CODE
     assert s.stats.a9_probe_work == 4
+    # as many members as the join has codes: the probed code is one of
+    # them and no member of its own class, so the probe could never fire
+    _, s = fresh()
+    assert _a9_verdict_agrees(s, to_internal(parse("a | !(a | b)"), s.arena)) != ONE_CODE
+    assert s.stats.a9_probe_work == 0
 
 
 @pytest.mark.parametrize("family", ["fig6", "fig7", "a9"])
@@ -429,7 +434,7 @@ _A9_NF = " | ".join([f"a{i}" for i in range(1, _A9_N + 1)] + [f"!(a{i} | b{i})" 
         # a negation; extraction interns five new nodes, the last member first
         pytest.param(
             parse("!(!(b | a) | d) | !(c | !(a | b)) | e"), True, "e | !(d | !(b | a)) | !(!(b | a) | c)",
-            dict(nodes_visited=14, memo_hits=2, codes_allocated=9, merge_work=11, a9_probe_work=8),
+            dict(nodes_visited=14, memo_hits=2, codes_allocated=9, merge_work=11, a9_probe_work=4),
             (18, 19),
             id="shared-class",
         ),

@@ -229,8 +229,8 @@ class Session:
         """
         arena = self.arena
         kinds, payload = arena._kinds, arena._payload
-        node_codes = self._node_codes
         stats = self.stats
+        node_codes = self._node_codes
         _, _, todo, seen = frame
         batch: list[int] = []
         work = list(reversed(refs))

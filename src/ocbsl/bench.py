@@ -36,9 +36,12 @@ from .dag import Arena
 from .normalize import Session, Stats
 from .syntax import Formula, Not, Or, Var, formula_nodes, to_internal
 
-__all__ = ["FAMILIES", "gen_family", "family_scale", "BenchReport", "run_bench", "fit_exponent", "report_tsv"]
+__all__ = [
+    "FAMILIES", "MAX_EXP", "gen_family", "family_scale", "BenchReport", "run_bench", "fit_exponent", "report_tsv"
+]
 
 FAMILIES = ("fig6", "fig7", "a9")
+MAX_EXP = 20  # largest size exponent `run_bench` takes: 2^20 nodes is desk scale
 
 
 def gen_family(family: str, n: int) -> Formula:
@@ -114,6 +117,8 @@ def run_bench(
     exponents = list(exponents)
     if len(exponents) < 5:
         raise ValueError("need at least five sizes for a meaningful fit")
+    if max(exponents) > MAX_EXP:
+        raise ValueError(f"exponent {max(exponents)} exceeds the cap of {MAX_EXP}")
     sizes: list[int] = []
     medians: list[int] = []
     stats: list[Stats] = []

@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 
-from .bench import FAMILIES, report_tsv, run_bench
+from .bench import FAMILIES, MAX_EXP, report_tsv, run_bench
 from .dag import Arena, print_term
 from .normalize import Session
 from .syntax import ParseError, parse, to_internal
@@ -137,7 +137,7 @@ def _cmd_bench(args) -> int:
             reps=args.reps,
             size_scheduling=not args.no_size_scheduling,
         )
-    except ValueError as exc:  # run_bench rejects too few or repeated sizes, or reps < 1
+    except ValueError as exc:  # run_bench rejects too few or repeated sizes, an exponent over MAX_EXP, or reps < 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(report_tsv(report))
@@ -173,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("bench", help="measure scaling on a benchmark family")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--min-exp", type=int, required=True, help="smallest size as a power of two")
-    p.add_argument("--max-exp", type=int, required=True, help="largest size as a power of two")
+    p.add_argument("--max-exp", type=int, required=True, help=f"largest size as a power of two, at most {MAX_EXP}")
     p.add_argument("--reps", type=int, default=5, help="repetitions per size (median is kept)")
     p.add_argument("--no-size-scheduling", action="store_true", help="normalize children in stored order")
     p.set_defaults(func=_cmd_bench)

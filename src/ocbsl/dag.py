@@ -2,11 +2,18 @@
 
 Internal terms are built from variables, the constants 0 and 1, negation,
 and one n-ary join.  An Arena interns every node by content: a node's
-payload (its name, child ref, child tuple, or "0"/"1" for a constant) is
-its memo key, so structurally identical subterms resolve to the same
-integer handle (TermRef), and terms with heavy sharing stay small even
+payload is its memo key, so structurally identical subterms resolve to the
+same integer handle (TermRef), and terms with heavy sharing stay small even
 when the fully expanded tree is astronomically large.  Children of a join
 are kept in stored order here; commutativity is the normalizer's business.
+
+A node is its payload, whose type gives its kind: an int is a negation
+(of the child with that ref), a tuple is a join (of those refs), and
+anything else is a leaf whose payload is its text, "0", "1" or a variable
+name.  `_check_name` never lets a name read "0" or "1", so payloads of
+different kinds never collide as memo keys.  Readers test ``type(p) is
+int``, then ``type(p) is tuple``, and take the rest as a leaf; a name may
+be a `str` subclass, so none tests for `str`.
 
 Refs are handed out in append order, and a node can only be interned
 after its children exist, so every child has a smaller ref than its
@@ -94,49 +101,44 @@ class Arena:
     """
 
     def __init__(self):
-        self._kinds: list[int] = []
-        # Payloads are the memo keys.  Keys of different kinds cannot
-        # collide: refs are ints, children are tuples, and names are
-        # strings that `_check_name` never lets read "0" or "1".
-        self._payload: list = []
+        self._payload: list = []  # ref -> payload, which encodes the kind (module docstring)
         self._memo: dict = {}  # payload -> ref
         self._sizes: list[int] = []  # expanded tree size, saturating at SIZE_CAP
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        return len(self._payload)
 
-    def _intern(self, kind: int, payload) -> int:
+    def _intern(self, payload) -> int:
         """Ref of the node with this payload, appended if new; payload unchecked."""
         ref = self._memo.get(payload)
         if ref is not None:
             return ref
-        ref = len(self._kinds)
+        ref = len(self._payload)
         sizes = self._sizes
-        if kind == NEG:
+        if type(payload) is int:  # a negation of that ref
             size = sizes[payload] + 1
-        elif kind == JOIN:
+        elif type(payload) is tuple:  # a join of those refs
             size = sum(map(sizes.__getitem__, payload)) + 1
-        else:
+        else:  # a leaf
             size = 1
-        self._kinds.append(kind)
         self._payload.append(payload)
         sizes.append(size if size < SIZE_CAP else SIZE_CAP)
         self._memo[payload] = ref
         return ref
 
     def zero(self) -> int:
-        return self._intern(ZERO, "0")
+        return self._intern("0")
 
     def one(self) -> int:
-        return self._intern(ONE, "1")
+        return self._intern("1")
 
     def var(self, name: str) -> int:
         _check_name(name)
-        return self._intern(VAR, name)
+        return self._intern(name)
 
     def neg(self, child: int) -> int:
         self._check(child)
-        return self._intern(NEG, child)
+        return self._intern(child)
 
     def join(self, children: tuple[int, ...]) -> int:
         children = tuple(children)
@@ -144,34 +146,36 @@ class Arena:
             raise ValueError("join needs at least one child")
         for c in children:
             self._check(c)
-        return self._intern(JOIN, children)
+        return self._intern(children)
 
     def _check(self, ref: int) -> None:
         # exactly int: a bool is an int too, and True would pass for ref 1
-        if not (type(ref) is int and 0 <= ref < len(self._kinds)):
+        if not (type(ref) is int and 0 <= ref < len(self._payload)):
             raise ValueError(f"ref {ref!r} does not belong to this arena")
 
     # -- node accessors ----------------------------------------------------
 
     def kind(self, ref: int) -> int:
         self._check(ref)
-        return self._kinds[ref]
+        p = self._payload[ref]
+        if type(p) is int:  # a negation
+            return NEG
+        if type(p) is tuple:  # a join
+            return JOIN
+        return ZERO if p == "0" else ONE if p == "1" else VAR  # a leaf: its text
 
     def var_name(self, ref: int) -> str:
-        self._check(ref)
-        if self._kinds[ref] != VAR:
+        if self.kind(ref) != VAR:
             raise ValueError("not a variable node")
         return self._payload[ref]
 
     def neg_child(self, ref: int) -> int:
-        self._check(ref)
-        if self._kinds[ref] != NEG:
+        if self.kind(ref) != NEG:
             raise ValueError("not a negation node")
         return self._payload[ref]
 
     def join_children(self, ref: int) -> tuple[int, ...]:
-        self._check(ref)
-        if self._kinds[ref] != JOIN:
+        if self.kind(ref) != JOIN:
             raise ValueError("not a join node")
         return self._payload[ref]
 
@@ -188,11 +192,11 @@ class Arena:
             if n in seen:
                 continue
             seen.add(n)
-            kind = self._kinds[n]
-            if kind == NEG:
-                stack.append(self._payload[n])
-            elif kind == JOIN:
-                stack.extend(self._payload[n])
+            p = self._payload[n]
+            if type(p) is int:  # a negation
+                stack.append(p)
+            elif type(p) is tuple:  # a join
+                stack.extend(p)
         return sorted(seen)
 
     def tree_size(self, ref: int) -> int:
@@ -220,21 +224,21 @@ class Arena:
         for t in reversed(_tree_nodes(term)):
             head = t[0]
             if head == "var":
-                push(intern(VAR, t[1]))
+                push(intern(t[1]))
             elif head == "not":
-                vals[-1] = intern(NEG, vals[-1])
+                vals[-1] = intern(vals[-1])
             elif head == "or":
                 k = len(t[1])
                 children = tuple(vals[-k:])
                 del vals[-k:]
-                push(intern(JOIN, children))
+                push(intern(children))
             elif head == "and":
                 k = len(t[1])
-                negated = tuple([intern(NEG, c) for c in vals[-k:]])
+                negated = tuple([intern(c) for c in vals[-k:]])
                 del vals[-k:]
-                push(intern(NEG, intern(JOIN, negated)))
-            else:
-                push(intern(ZERO if head == "0" else ONE, head))
+                push(intern(intern(negated)))
+            else:  # "0" or "1": the head is the leaf's text
+                push(intern(head))
         return vals[0]
 
     def export_tree(self, ref: int):
@@ -242,17 +246,15 @@ class Arena:
         self._check(ref)
         out: dict[int, tuple] = {}
         for n in self.reverse_topological_order([ref]):
-            kind = self._kinds[n]
-            if kind == VAR:
-                out[n] = ("var", self._payload[n])
-            elif kind == ZERO:
-                out[n] = ("0",)
-            elif kind == ONE:
-                out[n] = ("1",)
-            elif kind == NEG:
-                out[n] = ("not", out[self._payload[n]])
-            else:
-                out[n] = ("or", tuple(out[c] for c in self._payload[n]))
+            p = self._payload[n]
+            if type(p) is int:  # a negation
+                out[n] = ("not", out[p])
+            elif type(p) is tuple:  # a join
+                out[n] = ("or", tuple(out[c] for c in p))
+            elif p == "0" or p == "1":  # a constant
+                out[n] = (p,)
+            else:  # a variable
+                out[n] = ("var", p)
         return out[ref]
 
 
@@ -263,7 +265,7 @@ def print_term(arena: Arena, ref: int) -> str:
     Deterministic: children appear in stored order.
     """
     arena._check(ref)
-    kinds, payload = arena._kinds, arena._payload  # children of a checked ref are refs
+    payload = arena._payload  # children of a checked ref are refs
     out: list[str] = []
     stack: list = [(ref, False)]
     while stack:
@@ -272,21 +274,18 @@ def print_term(arena: Arena, ref: int) -> str:
             out.append(item)
             continue
         n, need_parens = item
-        kind = kinds[n]
-        if kind == NEG:
+        p = payload[n]
+        if type(p) is int:  # a negation
             out.append("!")
-            stack.append((payload[n], True))
-        elif kind == JOIN:
-            children = payload[n]
+            stack.append((p, True))
+        elif type(p) is tuple:  # a join
             if need_parens:
                 out.append("(")
                 stack.append(")")
-            first = True
-            for c in reversed(children):
-                if not first:
+            for i, c in enumerate(reversed(p)):
+                if i:
                     stack.append(" | ")
                 stack.append((c, True))
-                first = False
         else:  # a leaf's payload is its text: the name, "0" or "1"
-            out.append(payload[n])
+            out.append(p)
     return "".join(out)

@@ -7,7 +7,9 @@ are equivalent exactly when their codes are equal.
 
 Codes come in plain/negated pairs: a class gets an even code 2k and its
 complement 2k+1, so negating a coded term is one XOR.  Codes 0 and 1 are
-reserved for the constants, which makes `!0 = 1` and `!1 = 0` structural.
+reserved for the constants, which makes `!0 = 1` and `!1 = 0` structural:
+class 0's keys are the constants' leaf texts "0" and "1", so every leaf,
+constant or variable, is coded by one lookup of its payload.
 A node's code is memoized in a list indexed by its ref (refs are dense).
 
 The traversal is a single fused pass: one loop over one stack, which
@@ -44,7 +46,7 @@ unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 
 from __future__ import annotations
 
-from .dag import Arena, JOIN, NEG, ONE, VAR, ZERO
+from .dag import Arena
 
 __all__ = ["Session", "Stats", "neg_of", "ZERO_CODE", "ONE_CODE"]
 
@@ -117,7 +119,9 @@ class Session:
 
     One table names classes by content: class k (codes 2k and 2k+1) is
     keyed by a variable's name or a join's sorted member codes, numbered
-    when its key is first seen; class 0 is the constants.
+    when its key is first seen.  Class 0 is the constants: its keys are
+    the leaf texts "0" (code 0) and "1" (code 1), there from the start and
+    not counted in `codes_allocated`.
     """
 
     def __init__(self, arena: Arena, size_scheduling: bool = True):
@@ -126,12 +130,12 @@ class Session:
         self.stats = Stats()
         self._node_codes: list = []  # TermRef -> code, or None if not coded yet
         self._classes: list = [None]  # class k -> its key; slot 0 is the constants
-        self._codes: dict = {}  # key -> 2k
+        self._codes: dict = {"0": ZERO_CODE, "1": ONE_CODE}  # key -> 2k; the constants' codes
 
     # -- the class table -------------------------------------------------------
 
     def _code(self, key) -> int:
-        """Even code of the class with this key, appended if new."""
+        """Code of the class with this key (even unless key is "1"), appended if new."""
         code = self._codes.get(key)
         if code is None:
             code = 2 * len(self._classes)
@@ -187,22 +191,22 @@ class Session:
             if c < 0:  # a marker: the parts of ~c are built
                 c = ~c
                 if c & 1:
-                    built[c] = intern(NEG, built[c ^ 1])
+                    built[c] = intern(built[c ^ 1])
                 else:
-                    built[c] = intern(JOIN, tuple(map(built.__getitem__, classes[c >> 1])))
+                    built[c] = intern(tuple(map(built.__getitem__, classes[c >> 1])))
             elif c in built:
                 continue
-            elif c < 2:  # the constants
-                built[c] = intern(ONE, "1") if c == ONE_CODE else intern(ZERO, "0")
+            elif c < 2:  # the constants: code 1 is the leaf "1", not !0
+                built[c] = intern("1" if c == ONE_CODE else "0")
             elif c & 1:
                 stack += (~c, c ^ 1)
             else:
-                key = classes[c >> 1]  # a name or member codes
-                if type(key) is str:
-                    built[c] = intern(VAR, key)
-                else:
+                key = classes[c >> 1]
+                if type(key) is tuple:  # a join's member codes
                     stack.append(~c)
                     stack += key
+                else:  # a name
+                    built[c] = intern(key)
         return built[code]
 
     # -- the fused pass ----------------------------------------------------------
@@ -217,7 +221,7 @@ class Session:
     # it keeps the order, except among sizes saturated at SIZE_CAP, whose
     # order is lost anyway (see `dag.SIZE_CAP`).
     #
-    # The pass reads the arena's columns directly rather than through the
+    # The pass reads the arena's payloads directly rather than through the
     # checked accessors: `normalize` checks the root, and every other ref
     # the pass meets is a descendant of it.
 
@@ -228,7 +232,7 @@ class Session:
         Iterative: splicing a chain must not recurse.
         """
         arena = self.arena
-        kinds, payload = arena._kinds, arena._payload
+        payload = arena._payload
         stats = self.stats
         node_codes = self._node_codes
         _, _, todo, seen = frame
@@ -240,9 +244,10 @@ class Session:
                 stats.a3_dedups += 1
                 continue
             seen.add(r)
-            if kinds[r] == JOIN and node_codes[r] is None:
+            p = payload[r]
+            if type(p) is tuple and node_codes[r] is None:  # a join not coded yet
                 stats.a2_flattens += 1
-                work.extend(reversed(payload[r]))
+                work.extend(reversed(p))
             else:
                 batch.append(r)
         if self.size_scheduling:
@@ -251,7 +256,7 @@ class Session:
         todo += batch
 
     def _run(self, root: int) -> int:
-        kinds, payload = self.arena._kinds, self.arena._payload
+        payload = self.arena._payload
         node_codes = self._node_codes
         receive, finish_join = self._receive, self._finish_join
         scheduling = self.size_scheduling
@@ -266,27 +271,20 @@ class Session:
                     memo += 1
                 else:
                     visited += 1
-                    kind = kinds[current]
-                    if kind == NEG:
-                        child = payload[current]
-                        if kinds[child] == NEG:
+                    p = payload[current]
+                    if type(p) is int:  # a negation of p
+                        if type(payload[p]) is int:
                             strips += 1
-                            current = payload[child]
+                            current = payload[p]
                         else:
                             stack.append(current)
-                            current = child
+                            current = p
                         continue
-                    if kind == JOIN:
+                    if type(p) is tuple:  # a join
                         stack.append((current, [], [], set()))
-                        receive(stack[-1], payload[current])
-                    else:
-                        if kind == ZERO:
-                            code = ZERO_CODE
-                        elif kind == ONE:
-                            code = ONE_CODE
-                        else:
-                            code = self._code(payload[current])
-                        node_codes[current] = code
+                        receive(stack[-1], p)
+                    else:  # a leaf: its text is its class key
+                        code = node_codes[current] = self._code(p)
 
                 # Deliver codes and advance join frames until a term needs resolving.
                 current = None
@@ -323,19 +321,16 @@ class Session:
                         collapses += 1
                         seam = todo[0]
                         stack.pop()
-                        if stack and type(stack[-1]) is int and kinds[seam] == NEG:
+                        if stack and type(stack[-1]) is int and type(payload[seam]) is int:
                             strips += 1
                             seam = payload[seam]
                             stack.pop()
                         if not stack or type(stack[-1]) is int:
                             current = seam  # resolved in place, under the negation if one is left
                         else:
-                            while kinds[seam] == NEG:
-                                child = payload[seam]
-                                if kinds[child] != NEG:
-                                    break
-                                strips += 1
-                                seam = payload[child]
+                            while type(payload[seam]) is int and type(payload[payload[seam]]) is int:
+                                strips += 1  # a double negation
+                                seam = payload[payload[seam]]
                             receive(stack[-1], (seam,))
                     else:
                         current = todo.pop()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import reprlib
 
-from .dag import Arena, JOIN, NEG, ONE, VAR
+from .dag import Arena
 
 __all__ = ["MAX_VARIABLES", "formula_table", "boolean_equivalent"]
 
@@ -74,22 +74,22 @@ def formula_table(f, names) -> int:
 def _term_tables(arena: Arena, roots: list[int]) -> tuple[list[str], list[int]]:
     """Sorted names of the variables under roots, and each root's table over them."""
     order = arena.reverse_topological_order(roots)
-    kinds, payload = arena._kinds, arena._payload  # refs in order are checked
-    names = sorted({payload[n] for n in order if kinds[n] == VAR})
+    payload = arena._payload  # refs in order are checked
+    leaves = {p for p in map(payload.__getitem__, order) if type(p) is not int and type(p) is not tuple}
+    names = sorted(leaves - {"0", "1"})  # the constants' texts are no variables
     full, masks = _masks(names)
+    masks["0"], masks["1"] = 0, full
     tables: dict[int, int] = {}
     for n in order:
-        kind = kinds[n]
-        if kind == JOIN:
+        p = payload[n]
+        if type(p) is int:  # a negation
+            acc = full ^ tables[p]
+        elif type(p) is tuple:  # a join
             acc = 0
-            for c in payload[n]:
+            for c in p:
                 acc |= tables[c]
-        elif kind == NEG:
-            acc = full ^ tables[payload[n]]
-        elif kind == VAR:
-            acc = masks[payload[n]]
-        else:
-            acc = full if kind == ONE else 0
+        else:  # a leaf: "0", "1" or a name
+            acc = masks[p]
         tables[n] = acc
     return names, [tables[r] for r in roots]
 

@@ -3,10 +3,10 @@
     PYTHONPATH=src:tests python3 tests/record_codes.py OUT
 
 Writes one JSON line per input formula: the ref `to_internal` returned,
-`len(arena)` after interning, the code, the join members of that code,
-every `Stats` field, the printed normal form, the ref
-`extract_normal_form` returned and `len(arena)` after it, and the input's
-`formula_nodes` and `print_formula`.  Rows of the random pairs also hold
+its `Arena.kind`, `len(arena)` after interning, the code, the join members
+of that code, every `Stats` field, the printed normal form, the ref
+`extract_normal_form` returned, its kind and `len(arena)` after it, and the
+input's `formula_nodes` and `print_formula`.  Rows of the random pairs also hold
 `semantics.boolean_equivalent` of the row's ref and an earlier one (see
 below).  Only the public API is used, so the same file runs against
 another checkout of the package, and a refactor of `dag`, `syntax`,
@@ -71,12 +71,14 @@ def record(out, label: str, session: Session, formula, against: int | None = Non
     row = {
         "in": label,
         "ref": ref,
+        "kind": arena.kind(ref),
         "nodes": nodes,
         "code": code,
         "members": members,
         "stats": vars(session.stats),
         "nf": print_term(arena, nf_ref),
         "nf_ref": nf_ref,
+        "nf_kind": arena.kind(nf_ref),
         "nodes_after_nf": len(arena),
         "size": formula_nodes(formula),
         "text": print_formula(formula),

@@ -141,6 +141,22 @@ def test_bench_bad_range(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_bench_refuses_exponents_over_the_cap(capsys, monkeypatch):
+    # an instance at 2^64 nodes would exhaust memory: refuse before building any
+    import ocbsl.bench
+
+    def guarded(family, n):
+        if n > 2**20:
+            raise AssertionError(f"gen_family asked for scale {n}")
+        return gen_family(family, n)
+
+    gen_family = ocbsl.bench.gen_family
+    monkeypatch.setattr(ocbsl.bench, "gen_family", guarded)
+    code, out, err = run(capsys, "bench", "--family", "fig6", "--min-exp", "60", "--max-exp", "64")
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent 64 exceeds the cap of {ocbsl.bench.MAX_EXP}\n"
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

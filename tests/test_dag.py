@@ -1,7 +1,7 @@
 import pytest
 
 from ocbsl import formula_nodes, print_formula, rewrite, to_internal
-from ocbsl.dag import JOIN, NEG, SIZE_CAP, Arena, print_term
+from ocbsl.dag import JOIN, NEG, ONE, SIZE_CAP, VAR, ZERO, Arena, print_term
 from enum_terms import enumerate_terms
 
 
@@ -24,6 +24,21 @@ def test_intern_grows_by_at_most_one():
     assert len(arena) == n
     arena.neg(a)
     assert len(arena) == n + 1
+
+
+def test_kind_and_accessors_of_each_builder():
+    # the kind is read from the payload: "0" and "1" are constants, not names
+    arena = Arena()
+    a = arena.var("a")
+    refs = {ZERO: arena.zero(), ONE: arena.one(), VAR: a, NEG: arena.neg(a), JOIN: arena.join((a, a))}
+    assert {kind: arena.kind(ref) for kind, ref in refs.items()} == {kind: kind for kind in refs}
+    accessors = {VAR: (arena.var_name, "a"), NEG: (arena.neg_child, a), JOIN: (arena.join_children, (a, a))}
+    for kind, (accessor, payload) in accessors.items():
+        assert accessor(refs[kind]) == payload
+        for other, ref in refs.items():
+            if other != kind:
+                with pytest.raises(ValueError):
+                    accessor(ref)
 
 
 def test_ref_validation():

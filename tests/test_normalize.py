@@ -25,6 +25,9 @@ def test_reserved_codes():
     assert s.normalize(arena.one()) == ONE_CODE == 1
     assert s.normalize(arena.neg(arena.zero())) == 1  # !0 = 1
     assert s.normalize(arena.neg(arena.one())) == 0  # !1 = 0
+    assert s.normalize(arena.join((arena.zero(), arena.one()))) == 1
+    assert s.stats.codes_allocated == 0  # the constants allocate no class
+    assert s.normalize(arena.var("a")) == 2
 
 
 def test_neg_pairing():
@@ -436,6 +439,14 @@ _A9_NF = " | ".join([f"a{i}" for i in range(1, _A9_N + 1)] + [f"!(a{i} | b{i})" 
             dict(nodes_visited=14, memo_hits=2, codes_allocated=9, merge_work=11, a9_probe_work=4),
             (18, 19),
             id="shared-class",
+        ),
+        # literal constant leaves are coded like names, through the class table
+        pytest.param(
+            parse("!(0 | !(a | 1) | b) | (c & 1)"), True, "c | !b",
+            dict(a2b_collapses=2, a4_hits=1, a5_drops=3, a11_hits=2, nodes_visited=14, memo_hits=1,
+                 codes_allocated=4, merge_work=4),
+            (15, 16),
+            id="constants",
         ),
     ],
 )

@@ -152,6 +152,22 @@ def test_session_bytes_per_surface_node(family, bound):
     assert (kept - base) / formula_nodes(f) <= bound, session.stats
 
 
+@pytest.mark.parametrize("family, bound", [("fig6", 132), ("fig7", 113), ("a9", 93)])
+def test_arena_bytes_per_surface_node(family, bound):
+    # what `to_internal` keeps of a 2^15-node formula: the payloads, the
+    # memo and the tree sizes; a node's kind is its payload's type
+    f = gen_family(family, family_scale(family, 2**15))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        arena = Arena()
+        to_internal(f, arena)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (kept - base) / formula_nodes(f) <= bound, len(arena)
+
+
 def test_deep_parentheses_do_not_overflow():
     depth = 50_000
     f = parse("(" * depth + "a" + ")" * depth)

@@ -6,9 +6,9 @@ Writes one JSON line per input formula: the ref `to_internal` returned,
 its `Arena.kind`, `len(arena)` after interning, the code, the join members
 of that code, every `Stats` field, the printed normal form, the ref
 `extract_normal_form` returned, its kind and `len(arena)` after it, and the
-input's `formula_nodes` and `print_formula`.  Rows of the random pairs also hold
-`semantics.boolean_equivalent` of the row's ref and an earlier one (see
-below).  Only the public API is used, so the same file runs against
+input's `formula_nodes` and `print_formula`.  Rows of the random pairs
+also hold `semantics.boolean_equivalent` of the row's ref and an earlier
+one (see below).  Only the public API is used, so the same file runs against
 another checkout of the package, and a refactor of `dag`, `syntax`,
 `normalize` or `semantics` that keeps refs, codes, counters, normal forms,
 surface walks and truth-table verdicts leaves the output

@@ -159,6 +159,16 @@ def test_extract_normal_form():
     assert [print_term(arena, r) for r in (15, 17)] == ["!(!(b | a) | c)", "!(d | !(b | a))"]
 
 
+def test_extract_takes_a_name_of_a_str_subclass():
+    # `Arena.var` takes any str, so a class key that is no tuple is a name
+    class Name(str):
+        pass
+
+    arena, s = fresh()
+    code = s.normalize(arena.join((arena.var(Name("a")), arena.var("b"))))
+    assert print_term(arena, s.extract_normal_form(code)) == "a | b"
+
+
 def test_extract_is_idempotent_and_irreducible():
     arena, s = fresh()
     rng = random.Random(3)

@@ -19,9 +19,16 @@ Rules, all understood modulo commutativity of the n-ary join:
 
 Every rule strictly shrinks the term, so reduction terminates within
 node_count(t) steps; the default budget enforces exactly that bound.
-Matching is by brute force over sub-multisets of children, so this engine
-is for test-scale terms only (tens of nodes).  It deliberately shares no
-machinery with the coded normalizer it cross-checks.
+Matching at one node is by brute force over its children (pairs and
+sub-multisets), so this engine is for test-scale terms only (tens of
+nodes).  The default leftmost-innermost strategy reduces in one post-order
+walk that resumes at the last rewrite; `applicable_steps` and the
+rightmost-outermost strategy list every redex of the whole term
+after each step.  `node_count`, `canonicalize` and the walk recurse once
+per level, so the term's depth is bounded by Python's recursion limit (at
+the default limit, a chain of about 1,000 negations raises
+RecursionError).  It deliberately shares no machinery with the coded
+normalizer it cross-checks.
 """
 
 from __future__ import annotations
@@ -109,13 +116,19 @@ RewriteStep = namedtuple("RewriteStep", "rule position before after")
 
 
 def _replace(t, path, sub):
-    if not path:
-        return sub
-    i = path[0]
-    if t[0] == "not":
-        return ("not", _replace(t[1], path[1:], sub))
-    children = t[1]
-    return ("or", children[:i] + (_replace(children[i], path[1:], sub),) + children[i + 1 :])
+    # iterative, so that the leftmost-innermost walk, which calls this at
+    # its own depth, reaches terms as deep as `canonicalize` does
+    spine = []
+    for i in path:
+        spine.append(t)
+        t = t[1] if t[0] == "not" else t[1][i]
+    for node, i in zip(reversed(spine), reversed(path)):
+        if node[0] == "not":
+            sub = ("not", sub)
+        else:
+            children = node[1]
+            sub = ("or", children[:i] + (sub,) + children[i + 1 :])
+    return sub
 
 
 def _local_reducts(t):
@@ -181,11 +194,6 @@ _RULE_ORDER = {r: i for i, r in enumerate(["A2", "A2b", "A3", "A4", "A5", "A6", 
 _INF = float("inf")
 
 
-def _li_key(step: RewriteStep):
-    # leftmost-innermost: extensions of a path come before the path itself
-    return (step.position + (_INF,), _RULE_ORDER[step.rule])
-
-
 def _ro_key(step: RewriteStep):
     # rightmost-outermost under `max`: prefixes beat their extensions
     return (step.position + (_INF,), -_RULE_ORDER[step.rule])
@@ -196,24 +204,54 @@ def trace_normal_form(t, budget: int | None = None, strategy: str = "leftmost-in
 
     The default budget is node_count(t): every rule shrinks the term, so a
     correct system can never need more steps than nodes.
+
+    Leftmost-innermost takes, at each step, the first node in post-order
+    (children left to right) with a redex, the lowest rule of `_RULE_ORDER`
+    there, and on a tie the reduct `_local_reducts` emits first.  It is
+    computed by one post-order walk that resumes at the last rewrite rather
+    than by listing every redex: after a step at position p, every node
+    before p in post-order is unchanged and irreducible, and every proper
+    subterm of the reduct was already reduced (each rule's reduct is built
+    from subterms of the redex, or is a constant), so the next step is at p
+    itself or later in post-order.  Rightmost-outermost takes the `max` of
+    `applicable_steps` under its order after every step.
     """
+    if strategy not in ("leftmost-innermost", "rightmost-outermost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if budget is None:
         budget = node_count(t)
     steps: list[RewriteStep] = []
-    while True:
-        candidates = applicable_steps(t)
-        if not candidates:
-            return canonicalize(t), steps
-        if strategy == "leftmost-innermost":
-            step = min(candidates, key=_li_key)
-        elif strategy == "rightmost-outermost":
+    if strategy == "rightmost-outermost":
+        while candidates := applicable_steps(t):
+            if len(steps) >= budget:
+                raise RewriteBudgetError(f"no normal form within {budget} steps")
             step = max(candidates, key=_ro_key)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if len(steps) >= budget:
-            raise RewriteBudgetError(f"no normal form within {budget} steps")
-        steps.append(step)
-        t = step.after
+            steps.append(step)
+            t = step.after
+        return canonicalize(t), steps
+
+    whole = t
+
+    def visit(node, path):
+        nonlocal whole
+        head = node[0]
+        if head == "not":
+            node = ("not", visit(node[1], path + (0,)))
+        elif head == "or":
+            node = ("or", tuple(visit(c, path + (i,)) for i, c in enumerate(node[1])))
+        while True:
+            reducts = _local_reducts(node)
+            if not reducts:
+                return node
+            if len(steps) >= budget:
+                raise RewriteBudgetError(f"no normal form within {budget} steps")
+            rule, node = min(reducts, key=lambda r: _RULE_ORDER[r[0]])
+            after = _replace(whole, path, node)
+            steps.append(RewriteStep(rule, path, whole, after))
+            whole = after
+
+    visit(t, ())
+    return canonicalize(whole), steps
 
 
 def normal_form(t, budget: int | None = None, strategy: str = "leftmost-innermost"):

@@ -36,3 +36,20 @@ def disturbed(rng, f):
     if rng.random() < 0.15:
         g = Not(Not(g))
     return g
+
+
+def random_term(rng, nodes, names):
+    """An internal `rewrite` term of exactly `nodes` nodes.
+
+    Joins take 1-4 children, so single-child joins occur too.
+    """
+    if nodes == 1:
+        if rng.random() < 0.15:
+            return (rng.choice("01"),)
+        return ("var", rng.choice(names))
+    if rng.random() < 0.3:
+        return ("not", random_term(rng, nodes - 1, names))
+    k = rng.randint(1, min(4, nodes - 1))
+    cuts = sorted(rng.sample(range(1, nodes - 1), k - 1))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, nodes - 1])]
+    return ("or", tuple(random_term(rng, s, names) for s in sizes))

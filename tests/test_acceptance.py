@@ -61,6 +61,43 @@ def test_criterion_1_oracle_agreement_exhaustive():
     _report(1, "oracle agreement", f"{len(terms)} terms, {len(nf_to_code)} classes, {elapsed:.1f}s")
 
 
+def test_criterion_1_oracle_agreement_random():
+    # Criterion 1 beyond the exhaustive universe: random formulas of 8-24
+    # surface nodes over {a, b, c} (up to about 60 internal nodes after de
+    # Morgan), all interned into one shared session per scheduling mode.
+    start = time.time()
+    rng = random.Random(11)
+    formulas = [random_formula(rng, rng.randint(8, 24), ["a", "b", "c"]) for _ in range(4000)]
+    arena = Arena()
+    terms = [arena.export_tree(to_internal(f, arena)) for f in formulas]
+    oracle_start = time.time()
+    nfs = [rw.normal_form(t) for t in terms]
+    oracle_elapsed = time.time() - oracle_start
+    for size_scheduling in (True, False):
+        arena = Arena()
+        session = Session(arena, size_scheduling=size_scheduling)
+        code_to_nf = {}
+        nf_to_code = {}
+        disagreements = 0
+        for f, nf in zip(formulas, nfs):
+            code = session.normalize(to_internal(f, arena))
+            if code_to_nf.setdefault(code, nf) != nf:
+                disagreements += 1
+            if nf_to_code.setdefault(nf, code) != code:
+                disagreements += 1
+        assert disagreements == 0, size_scheduling
+    assert len(nf_to_code) >= 1000
+    elapsed = time.time() - start
+    assert elapsed <= 60.0
+    biggest = max(rw.node_count(t) for t in terms)
+    _report(
+        1,
+        "oracle agreement, random",
+        f"{len(formulas)} formulas of up to {biggest} nodes, {len(nf_to_code)} classes, "
+        f"oracle {oracle_elapsed:.1f}s, {elapsed:.1f}s",
+    )
+
+
 def test_criterion_2_boolean_soundness_randomized():
     # Whenever the normalizer calls two formulas equivalent, their truth
     # tables must agree.  Half the pairs are independent draws, half are

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from ocbsl.rewrite import (
     var,
 )
 from enum_terms import enumerate_terms
+from gen import random_term
 
 A = var("a")
 B = var("b")
@@ -107,6 +109,51 @@ def test_strategy_independence_random():
     rng = random.Random(23)
     for t in rng.sample(enumerate_terms(7), 800):
         assert normal_form(t) == normal_form(t, strategy="rightmost-outermost")
+
+
+RULE_ORDER = ["A2", "A2b", "A3", "A4", "A5", "A6", "A7", "A9", "A10", "A11"]
+
+
+def leftmost_innermost_key(step):
+    # post-order position (a path's extensions before the path), then rule
+    return (step.position + (math.inf,), RULE_ORDER.index(step.rule))
+
+
+def test_leftmost_innermost_matches_brute_force_definition():
+    # Each step of the resuming walk is the least of all the term's redexes
+    # under the leftmost-innermost order, and the walk stops only at a term
+    # with no redex at all.
+    rng = random.Random(37)
+    terms = rng.sample(enumerate_terms(7), 5000)
+    terms += [random_term(rng, rng.randint(8, 24), "abc") for _ in range(500)]
+    for t in terms:
+        nf, steps = trace_normal_form(t)
+        current = t
+        for step in steps:
+            assert step.before == current
+            assert step == min(applicable_steps(current), key=leftmost_innermost_key)
+            current = step.after
+        assert applicable_steps(current) == []
+        assert nf == canonicalize(current)
+
+
+def test_leftmost_innermost_reaches_deep_terms():
+    # The walk recurses once per level and `_replace` not at all, so a
+    # negation chain about as deep as `canonicalize` reaches still reduces.
+    t = A
+    for _ in range(901):
+        t = neg(t)
+    nf, steps = trace_normal_form(t)
+    assert nf == neg(A)
+    assert len(steps) == 450
+
+
+def test_unknown_strategy_is_rejected_before_any_work():
+    for t in (A, join(ZERO, A)):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            trace_normal_form(t, strategy="bogus")
+        with pytest.raises(ValueError, match="unknown strategy"):
+            normal_form(t, budget=0, strategy="nonsense")
 
 
 def test_joinable_critical_pairs():

@@ -59,12 +59,15 @@ VAR, ZERO, ONE, NEG, JOIN = range(5)
 # schedule for absurdly large subtrees, never correctness.
 SIZE_CAP = 2**64 - 1
 
-# A variable name; `syntax` scans names with this pattern too.
+# A variable name; `syntax` scans names with this pattern.  `_check_name`
+# and `_tree_nodes` test the same set without it: on ASCII text
+# `str.isidentifier` accepts exactly this pattern, and the unbound `str`
+# methods ignore overrides in a `str` subclass.
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _check_name(name: str) -> None:
-    if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
+    if not (isinstance(name, str) and str.isascii(name) and str.isidentifier(name)):
         raise ValueError(f"invalid variable name {name!r}")
 
 
@@ -78,18 +81,26 @@ def _tree_nodes(term) -> list:
     """
     nodes = []
     stack = [term]
+    pop, push, extend, emit = stack.pop, stack.append, stack.extend, nodes.append
+    isascii, isidentifier = str.isascii, str.isidentifier
     while stack:
-        t = stack.pop()
-        nodes.append(t)
-        head = t[0] if type(t) is tuple and t else None
-        if head == "var" and len(t) == 2:
-            _check_name(t[1])
-        elif head == "not" and len(t) == 2:
-            stack.append(t[1])
-        elif (head == "or" or head == "and") and len(t) == 2 and type(t[1]) is tuple and t[1]:
-            stack.extend(t[1])
-        elif not ((head == "0" or head == "1") and len(t) == 1):
-            raise ValueError(f"bad term node {reprlib.repr(t)}")
+        t = pop()
+        emit(t)
+        if type(t) is tuple and len(t) == 2:
+            head, arg = t
+            if head == "var":
+                if not (isinstance(arg, str) and isascii(arg) and isidentifier(arg)):
+                    _check_name(arg)  # raises
+                continue
+            if head == "not":
+                push(arg)
+                continue
+            if (head == "or" or head == "and") and type(arg) is tuple and arg:
+                extend(arg)
+                continue
+        elif type(t) is tuple and len(t) == 1 and (t[0] == "0" or t[0] == "1"):
+            continue
+        raise ValueError(f"bad term node {reprlib.repr(t)}")
     return nodes
 
 

@@ -8,9 +8,12 @@ are equivalent exactly when their codes are equal.
 Codes come in plain/negated pairs: a class gets an even code 2k and its
 complement 2k+1, so negating a coded term is one XOR.  Codes 0 and 1 are
 reserved for the constants, which makes `!0 = 1` and `!1 = 0` structural:
-class 0's keys are the constants' leaf texts "0" and "1", so every leaf,
-constant or variable, is coded by one lookup of its payload.
-A node's code is memoized in a list indexed by its ref (refs are dense).
+class 0's keys are the constants' leaf texts "0" and "1", so every leaf is
+coded by one lookup of its payload in `Session._codes`.  That dict holds
+the constants and the join keys only: the arena hash-conses leaves, so a
+variable's leaf is the one node with its name, and a miss gives it a new
+class without recording the name.  A node's code is memoized in a list
+indexed by its ref (refs are dense).
 
 The traversal is a single fused pass: one loop over one stack, which
 holds the negations waiting for their child's code and the join frames
@@ -117,11 +120,14 @@ class Session:
     every join is coded).  Verdicts are unchanged; only the cost profile
     degrades.  Exists so the degradation is measurable.
 
-    One table names classes by content: class k (codes 2k and 2k+1) is
-    keyed by a variable's name or a join's sorted member codes, numbered
-    when its key is first seen.  Class 0 is the constants: its keys are
-    the leaf texts "0" (code 0) and "1" (code 1), there from the start and
-    not counted in `codes_allocated`.
+    `_classes` lists the classes in the order they are numbered: class k
+    (codes 2k and 2k+1) is keyed by a variable's name or a join's sorted
+    member codes.  `_codes` maps a key back to its code for the constants
+    and the joins only.  Class 0 is the constants: its keys are the leaf
+    texts "0" (code 0) and "1" (code 1), there from the start and not
+    counted in `codes_allocated`.  A variable's class is numbered when its
+    leaf is first normalized; its leaf is the only node with that name, and
+    the leaf's code is memoized, so the name is never looked up again.
     """
 
     def __init__(self, arena: Arena, size_scheduling: bool = True):
@@ -130,18 +136,22 @@ class Session:
         self.stats = Stats()
         self._node_codes: list = []  # TermRef -> code, or None if not coded yet
         self._classes: list = [None]  # class k -> its key; slot 0 is the constants
-        self._codes: dict = {"0": ZERO_CODE, "1": ONE_CODE}  # key -> 2k; the constants' codes
+        self._codes: dict = {"0": ZERO_CODE, "1": ONE_CODE}  # constant or join key -> its code
 
     # -- the class table -------------------------------------------------------
 
-    def _code(self, key) -> int:
-        """Code of the class with this key (even unless key is "1"), appended if new."""
+    def _new_class(self, key) -> int:
+        """Even code of a new class keyed by `key`."""
+        code = 2 * len(self._classes)
+        self._classes.append(key)
+        self.stats.codes_allocated += 1
+        return code
+
+    def _join_code(self, key: tuple[int, ...]) -> int:
+        """Code of the join class with these member codes, numbered if new."""
         code = self._codes.get(key)
         if code is None:
-            code = 2 * len(self._classes)
-            self._classes.append(key)
-            self._codes[key] = code
-            self.stats.codes_allocated += 1
+            code = self._codes[key] = self._new_class(key)
         return code
 
     def _class_key(self, code: int):
@@ -157,7 +167,7 @@ class Session:
         """Code of ref's equivalence class; memoized per node."""
         self.arena._check(ref)
         node_codes = self._node_codes
-        node_codes += [None] * (len(self.arena) - len(node_codes))  # refs are dense: a slot per node
+        node_codes += [None] * (len(self.arena._payload) - len(node_codes))  # refs are dense: a slot per node
         code = node_codes[ref]
         if code is not None:
             self.stats.memo_hits += 1
@@ -258,6 +268,7 @@ class Session:
     def _run(self, root: int) -> int:
         payload = self.arena._payload
         node_codes = self._node_codes
+        codes = self._codes
         receive, finish_join = self._receive, self._finish_join
         scheduling = self.size_scheduling
         stack: list = []  # negation refs awaiting their child's code, and join frames
@@ -283,8 +294,11 @@ class Session:
                     if type(p) is tuple:  # a join
                         stack.append((current, [], [], set()))
                         receive(stack[-1], p)
-                    else:  # a leaf: its text is its class key
-                        code = node_codes[current] = self._code(p)
+                    else:  # a leaf: a constant, or a variable met for the first time
+                        code = codes.get(p)
+                        if code is None:
+                            code = self._new_class(p)
+                        node_codes[current] = code
 
                 # Deliver codes and advance join frames until a term needs resolving.
                 current = None
@@ -391,4 +405,4 @@ class Session:
         if m == 1:
             stats.a2b_collapses += 1
             return codes[0]
-        return self._code(codes)
+        return self._join_code(codes)

@@ -34,6 +34,7 @@ normalizer it cross-checks.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from operator import itemgetter
 
 __all__ = [
     "ZERO",
@@ -97,12 +98,24 @@ def term_key(t):
 
 def canonicalize(t):
     """Sort join children recursively; commutativity-equal terms coincide."""
+    return _canonical(t)[0]
+
+
+def _canonical(t):
+    """(canonicalize(t), its term_key), keying each subterm once, bottom-up.
+
+    A composite's key is built from its children's keys as `term_key`
+    builds it.  Sorting by `term_key` at every level would instead rebuild
+    the key of the whole subtree each time, quadratic in depth.
+    """
     head = t[0]
     if head == "not":
-        return ("not", canonicalize(t[1]))
+        child, key = _canonical(t[1])
+        return ("not", child), (2, key)
     if head == "or":
-        return ("or", tuple(sorted((canonicalize(c) for c in t[1]), key=term_key)))
-    return t
+        pairs = sorted(map(_canonical, t[1]), key=itemgetter(1))
+        return ("or", tuple([c for c, _ in pairs])), (3, tuple([k for _, k in pairs]))
+    return t, term_key(t)
 
 
 class RewriteBudgetError(RuntimeError):

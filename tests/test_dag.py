@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ocbsl import formula_nodes, print_formula, rewrite, to_internal
-from ocbsl.dag import JOIN, NEG, ONE, SIZE_CAP, VAR, ZERO, Arena, print_term
+from ocbsl.dag import _NAME_RE, JOIN, NEG, ONE, SIZE_CAP, VAR, ZERO, Arena, _check_name, _tree_nodes, print_term
 from enum_terms import enumerate_terms
 
 
@@ -186,6 +188,8 @@ def test_intern_tree_interns_and_by_de_morgan_in_order():
         ("not", ("var", "1bad")),
         # well-formed nodes before the bad one in post-order
         ("or", (("var", "a"), ("not", ("var", "b")), ("foo",))),
+        ("var", "é"),  # a Python identifier, not ASCII
+        ("var", ""),
     ],
 )
 def test_intern_tree_rejects_malformed_trees(tree):
@@ -201,6 +205,48 @@ def test_intern_tree_rejects_malformed_trees(tree):
         formula_nodes(tree)
     with pytest.raises(ValueError):
         print_formula(tree)
+
+
+class _LyingStr(str):
+    # a name check must read the characters, not these overrides
+    def isascii(self):
+        return True
+
+    def isidentifier(self):
+        return True
+
+
+def _accepts(check, name) -> bool:
+    try:
+        check(name)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=2000, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(st.sampled_from("aZ_09é\u00aa\u0663 -\n")),
+        st.from_regex(_NAME_RE, fullmatch=True),
+    ),
+    st.booleans(),
+)
+@example("é", False)
+@example("\u00aa", False)  # a letter to `str.isidentifier`, not ASCII
+@example("\u0663", False)  # an Arabic-Indic digit
+@example("9a", False)
+@example("", False)
+@example("a\n", False)
+@example("é", True)
+@example("a_1", True)
+def test_check_name_accepts_exactly_the_name_pattern(text, subclass):
+    name = _LyingStr(text) if subclass else text
+    expected = _NAME_RE.fullmatch(name) is not None
+    assert _accepts(_check_name, name) == expected
+    # `_tree_nodes` checks the names of a tree with its own inlined test
+    assert _accepts(_tree_nodes, ("var", name)) == expected
 
 
 def test_tree_walkers_take_deep_and_wide_trees():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ocbsl import rewrite
 from ocbsl.rewrite import (
     ONE,
     ZERO,
@@ -180,6 +181,25 @@ def test_canonical_order_is_total_and_frozen():
     assert canonicalize(join(B, A)) == join(A, B)
     assert canonicalize(join(neg(A), ONE, A, ZERO)) == join(ZERO, ONE, A, neg(A))
     assert canonicalize(join(join(B, A), neg(B))) == join(neg(B), join(A, B))
+
+
+def test_canonicalize_keys_each_subterm_once(monkeypatch):
+    # Sorting by `term_key` at every join level would rebuild the key of
+    # the whole subtree each time: thousands of calls on this chain.
+    calls = 0
+    term_key = rewrite.term_key
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return term_key(t)
+
+    monkeypatch.setattr(rewrite, "term_key", counting)
+    t, expected = join(B, A), join(A, B)
+    for i in range(200):
+        t, expected = (neg(t), neg(expected)) if i % 2 else (join(B, t), join(B, expected))
+    assert canonicalize(t) == expected
+    assert calls <= 2 * node_count(t)
 
 
 def test_termination_bound_random():

@@ -134,10 +134,11 @@ def test_parse_peak_memory_is_near_what_the_result_keeps():
     assert (peak - base) / (kept - base) <= 1.5
 
 
-@pytest.mark.parametrize("family, bound", [("fig6", 78), ("fig7", 42), ("a9", 75)])
+@pytest.mark.parametrize("family, bound", [("fig6", 35), ("fig7", 21), ("a9", 67)])
 def test_session_bytes_per_surface_node(family, bound):
     # what a session keeps after normalizing a 2^15-node formula: node codes
-    # in a list indexed by ref, the class table and the codes' dict
+    # in a list indexed by ref, the class table and the dict of constants
+    # and join keys (no entry per variable)
     f = gen_family(family, family_scale(family, 2**15))
     arena = Arena()
     ref = to_internal(f, arena)

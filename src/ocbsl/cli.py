@@ -7,18 +7,21 @@ Subcommands:
     batch <file>       check `lhs == rhs` lines, verify expect annotations
     bench ...          time a benchmark family and fit a scaling exponent
 
-A check is one short process, so start-up is most of its time.  The
-modules this imports keep heavy standard-library modules out: none uses
-`dataclasses`, and `bench` imports `statistics` only when it runs.
+A check is one short process, so start-up is most of its time.  A plain
+`check LHS RHS`, `normalize F` or `batch PATH`, with no argument that
+starts with `-`, goes straight to its command: it imports neither
+`argparse` nor `ocbsl.bench`.  Every other argv goes through the parser,
+which alone defines help and usage.  The modules this imports keep heavy
+standard-library modules out: none uses `dataclasses`, and `bench`
+imports `statistics` only when it runs.  `python -X importtime -m ocbsl
+check a a` shows where start-up time goes (README, "Start-up").
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
-from .bench import FAMILIES, MAX_EXP, report_tsv, run_bench
 from .dag import Arena, print_term
 from .normalize import Session
 from .syntax import ParseError, parse, to_internal
@@ -38,20 +41,20 @@ def _parse_or_report(text: str, label: str) -> "object | None":
         return None
 
 
-def _cmd_check(args) -> int:
-    lhs = _parse_or_report(args.lhs, "left formula")
-    rhs = _parse_or_report(args.rhs, "right formula")
-    if lhs is None or rhs is None:
+def _cmd_check(lhs: str, rhs: str) -> int:
+    left = _parse_or_report(lhs, "left formula")
+    right = _parse_or_report(rhs, "right formula")
+    if left is None or right is None:
         return EXIT_ERROR
     arena = Arena()
     session = Session(arena)
-    same = session.equivalent(to_internal(lhs, arena), to_internal(rhs, arena))
+    same = session.equivalent(to_internal(left, arena), to_internal(right, arena))
     print("equivalent" if same else "not-equivalent")
     return EXIT_EQUIVALENT if same else EXIT_DIFFERENT
 
 
-def _cmd_normalize(args) -> int:
-    f = _parse_or_report(args.formula, "formula")
+def _cmd_normalize(formula: str) -> int:
+    f = _parse_or_report(formula, "formula")
     if f is None:
         return EXIT_ERROR
     arena = Arena()
@@ -81,15 +84,18 @@ def _split_batch_line(line: str) -> tuple[str, str, str | None] | None:
     return parts[0].strip(), parts[1].strip(), expect
 
 
-def _cmd_batch(args) -> int:
+def _cmd_batch(path: str) -> int:
     try:
-        with open(args.path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except UnicodeDecodeError:
-        print(f"error: {args.path}: not valid UTF-8", file=sys.stderr)
+        print(f"error: {path}: not valid UTF-8", file=sys.stderr)
+        return EXIT_ERROR
+    except ValueError as exc:  # a NUL in the name, which only an in-process caller can pass
+        print(f"error: bad file name: {exc}", file=sys.stderr)
         return EXIT_ERROR
     arena = Arena()
     session = Session(arena)
@@ -126,22 +132,24 @@ def _cmd_batch(args) -> int:
     return EXIT_DIFFERENT if violations else 0
 
 
-def _cmd_bench(args) -> int:
-    if args.min_exp > args.max_exp:
+def _cmd_bench(family: str, min_exp: int, max_exp: int, reps: int, no_size_scheduling: bool) -> int:
+    from .bench import report_tsv, run_bench
+
+    if min_exp > max_exp:
         print("error: --min-exp must not exceed --max-exp", file=sys.stderr)
         return EXIT_ERROR
     try:
         report = run_bench(
-            args.family,
-            range(args.min_exp, args.max_exp + 1),
-            reps=args.reps,
-            size_scheduling=not args.no_size_scheduling,
+            family,
+            range(min_exp, max_exp + 1),
+            reps=reps,
+            size_scheduling=not no_size_scheduling,
         )
     except ValueError as exc:  # run_bench rejects too few or repeated sizes, an exponent over MAX_EXP, or reps < 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     sys.stdout.write(report_tsv(report))
-    mode = "stored-order" if args.no_size_scheduling else "smallest-first"
+    mode = "stored-order" if no_size_scheduling else "smallest-first"
     print(
         f"{report.family} ({mode}): sizes {report.sizes[0]}..{report.sizes[-1]}, "
         f"fitted exponent {report.fitted_exponent:.3f}",
@@ -150,25 +158,49 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+# The commands a plain argv may name: each one's function, the positional
+# fields it takes, in order, and its help.
+_PLAIN = {
+    "check": (_cmd_check, ("lhs", "rhs"), "decide whether two formulas are equivalent"),
+    "normalize": (_cmd_normalize, ("formula",), "print the canonical internal form"),
+    "batch": (_cmd_batch, ("path",), "check a file of `lhs == rhs` lines"),
+}
+
+
+def _plain_command(argv: list[str]) -> "tuple[object, dict[str, str]] | None":
+    """(command, fields) of a plain `check`, `normalize` or `batch` argv, as
+    the parser would read it, or None for any argv that needs the parser."""
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    command, names, _ = _PLAIN[argv[0]]
+    values = argv[1:]
+    if len(values) != len(names) or any(value.startswith("-") for value in values):
+        return None
+    return command, dict(zip(names, values))
+
+
+def _parser():
+    """The parser of every argv, and the one definition of help and usage."""
+    import argparse
+
+    from .bench import FAMILIES, MAX_EXP
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # one line, as every other error here; subparsers inherit this class
+            self.exit(EXIT_ERROR, f"error: {message}\n")
+
+    parser = _Parser(
         prog="ocbsl",
         description="Equivalence of and/or/not formulas up to distributivity, in quasilinear time.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="decide whether two formulas are equivalent")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("normalize", help="print the canonical internal form")
-    p.add_argument("formula")
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("batch", help="check a file of `lhs == rhs` lines")
-    p.add_argument("path")
-    p.set_defaults(func=_cmd_batch)
+    for name, (command, names, help_text) in _PLAIN.items():
+        p = sub.add_parser(name, help=help_text)
+        for field in names:
+            p.add_argument(field)
+        p.set_defaults(func=command)
 
     p = sub.add_parser("bench", help="measure scaling on a benchmark family")
     p.add_argument("--family", choices=FAMILIES, required=True)
@@ -178,13 +210,24 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--no-size-scheduling", action="store_true", help="normalize children in stored order")
     p.set_defaults(func=_cmd_bench)
 
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    dispatch = _plain_command(argv)
+    if dispatch is None:
+        try:
+            fields = vars(_parser().parse_args(argv))
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors, which matches the contract
+            return int(exc.code or 0)
+        del fields["command"]
+        dispatch = fields.pop("func"), fields
+    command, fields = dispatch
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors, which matches the contract
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        code = command(**fields)
         sys.stdout.flush()  # so that a full disk shows here, not after main returns
     except MemoryError as exc:
         # exit 1 means "not equivalent", so running out of room must not crash into it

@@ -1,12 +1,17 @@
+import io
+import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ocbsl.bench
 from ocbsl import parse
-from ocbsl.cli import main
+from ocbsl.cli import _parser, _plain_command, main
 
 
 def run(capsys, *argv):
@@ -157,8 +162,76 @@ def test_bench_refuses_exponents_over_the_cap(capsys, monkeypatch):
 
 
 def test_usage_error_exits_2(capsys):
-    assert main(["frobnicate"]) == 2
-    capsys.readouterr()
+    for argv in (
+        [],
+        ["frobnicate"],
+        ["check", "a"],
+        ["check", "a", "b", "c"],
+        ["normalize"],
+        ["bench", "--family", "nope", "--min-exp", "4", "--max-exp", "8"],
+        ["bench", "--family", "fig6", "--min-exp", "x", "--max-exp", "8"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # help is no usage error: it goes to stdout and exits 0
+    code, out, err = run(capsys, "check", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ocbsl check [-h] lhs rhs\n")
+
+
+# The fuzz below mixes formulas, which give verdicts, with pieces of text:
+# the grammar's tokens, the batch syntax, and characters that have broken
+# command-line tools before (NUL, a lone surrogate, a form feed, a BOM).
+FUZZ_PIECES = (
+    "a", "x1", "0", "1", "!", "&", "|", "(", ")", " ", "==", "#", "expect:", " eq", " neq",
+    "\n", "\x00", "\udcff", "\f", "\ufeff",
+)
+FUZZ_FORMULAS = st.recursive(
+    st.sampled_from(["a", "b", "0", "1"]),
+    lambda sub: st.one_of(
+        sub.map("!{}".format),
+        st.tuples(sub, st.sampled_from([" & ", " | "]), sub).map(lambda t: f"({''.join(t)})"),
+    ),
+    max_leaves=6,
+)
+FUZZ_TEXTS = st.one_of(FUZZ_FORMULAS, st.lists(st.sampled_from(FUZZ_PIECES), max_size=12).map("".join))
+FUZZ_ARGS = st.one_of(FUZZ_FORMULAS, FUZZ_TEXTS, FUZZ_TEXTS.map("-".__add__))  # half of them formulas
+# Mostly commands with as many arguments as they take; None stands for the batch file.
+FUZZ_ARGVS = st.one_of(
+    st.tuples(st.just("check"), FUZZ_ARGS, FUZZ_ARGS),
+    st.tuples(st.just("normalize"), FUZZ_ARGS),
+    st.tuples(st.just("batch"), st.none()),
+    st.tuples(
+        st.sampled_from(["check", "normalize", "batch", "frob", "", "-x", "--"]), st.lists(FUZZ_ARGS, max_size=3)
+    ).map(lambda t: (t[0], *t[1])),
+)
+FUZZ_LINES = st.one_of(
+    st.tuples(FUZZ_FORMULAS, FUZZ_FORMULAS, st.sampled_from(["", " # expect: eq", " # expect: neq"])).map(
+        lambda t: f"{t[0]} == {t[1]}{t[2]}\n"
+    ),
+    st.sampled_from(FUZZ_PIECES),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "pairs.txt"
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(argv=FUZZ_ARGVS, content=st.lists(FUZZ_LINES, max_size=6).map("".join))
+def test_cli_contract_on_random_argvs(fuzz_file, argv, content):
+    # "\udcff" in the file is the byte 0xff, so some files are not UTF-8
+    fuzz_file.write_bytes(content.encode("utf-8", "surrogateescape"))
+    argv = [str(fuzz_file) if arg is None else arg for arg in argv]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2)
+    plain = _plain_command(argv)
+    if plain is not None:  # the direct dispatch reads the argv as the parser does
+        fields = vars(_parser().parse_args(argv))
+        del fields["command"]
+        assert plain == (fields.pop("func"), fields)
 
 
 def test_console_entry_point():
@@ -202,6 +275,36 @@ def test_import_leaves_heavy_stdlib_modules_out(modules):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# What only `bench`, help and usage errors need: a check does without them.
+PARSER_MODULES = ("argparse", "gettext", "ocbsl.bench")
+
+
+def _run_in_one_process(argvs):
+    """Exit codes of `main` on each argv in one fresh process, and the
+    PARSER_MODULES that importing `ocbsl.cli` and running them newly loaded."""
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import ocbsl.cli\n"
+        f"codes = [ocbsl.cli.main(argv) for argv in {argvs!r}]\n"
+        f"print(json.dumps([codes, sorted((set(sys.modules) - before) & set({PARSER_MODULES!r}))]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_plain_commands_load_no_parser(tmp_path):
+    # start-up is most of a check, and argparse and the bench module would be most of main
+    path = tmp_path / "pairs.txt"
+    path.write_text("a | b == b | a\n", encoding="utf-8")
+    plain = [["check", "a", "a"], ["normalize", "a"], ["batch", str(path)]]
+    assert _run_in_one_process(plain) == [[0, 0, 0], []]
+    bench = ["bench", "--family", "fig6", "--min-exp", "4", "--max-exp", "8", "--reps", "1"]
+    codes, loaded = _run_in_one_process([bench])
+    assert codes == [0] and "ocbsl.bench" in loaded
 
 
 def test_normalize_output_parses():

@@ -66,17 +66,13 @@ def _cmd_normalize(formula: str) -> int:
 
 def _split_batch_line(line: str) -> tuple[str, str, str | None] | None:
     """(lhs, rhs, expect) of a payload line, or None for blank/comment."""
-    stripped = line.strip()
-    if not stripped or stripped.startswith("#"):
+    text, _, comment = line.partition("#")
+    text = text.strip()
+    if not text:
         return None
-    expect = None
-    if "#" in stripped:
-        stripped, _, comment = stripped.partition("#")
-        comment = comment.strip()
-        if comment.startswith("expect:"):
-            expect = comment[len("expect:") :].strip()
-        stripped = stripped.strip()
-    parts = stripped.split("==")
+    comment = comment.strip()
+    expect = comment[len("expect:") :].strip() if comment.startswith("expect:") else None
+    parts = text.split("==")
     if len(parts) != 2:
         raise ValueError("expected exactly one '==' separator")
     if expect is not None and expect not in ("eq", "neq"):
@@ -110,11 +106,9 @@ def _cmd_batch(path: str) -> int:
         if payload is None:
             continue
         lhs_text, rhs_text, expect = payload
-        try:
-            lhs = parse(lhs_text)
-            rhs = parse(rhs_text)
-        except ParseError as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
+        lhs = _parse_or_report(lhs_text, f"line {lineno}")
+        rhs = None if lhs is None else _parse_or_report(rhs_text, f"line {lineno}")
+        if rhs is None:
             errors += 1
             continue
         same = session.equivalent(to_internal(lhs, arena), to_internal(rhs, arena))

@@ -49,6 +49,8 @@ unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from .dag import Arena
 
 __all__ = ["Session", "Stats", "neg_of", "ZERO_CODE", "ONE_CODE"]
@@ -62,12 +64,15 @@ def neg_of(code: int) -> int:
     return code ^ 1
 
 
-class Stats:
+class Stats(SimpleNamespace):
     """Rule-application and bookkeeping counters for one session.
 
-    A plain class, not a dataclass, so that importing the package never
-    loads `dataclasses`.  `vars()` lists the counters in the order of
-    `FIELDS`; construction takes any of them by keyword, the rest are 0.
+    A `types.SimpleNamespace`, not a dataclass, so that importing the
+    package never loads `dataclasses` (`re` loads `types` anyway).  `vars()`
+    and the repr list the counters in the order of `FIELDS`; construction
+    takes any of them by keyword, the rest are 0.  Equality is that of
+    `vars()`, so a `Stats` also equals a plain `SimpleNamespace` with the
+    same fields.
     """
 
     FIELDS = (
@@ -90,18 +95,9 @@ class Stats:
     _BOOKKEEPING = ("nodes_visited", "memo_hits", "codes_allocated", "merge_work", "a9_probe_work")
 
     def __init__(self, **counts: int):
-        for name in self.FIELDS:
-            setattr(self, name, counts.pop(name, 0))
+        super().__init__(**{name: counts.pop(name, 0) for name in self.FIELDS})
         if counts:
             raise TypeError(f"Stats() got an unexpected keyword argument {next(iter(counts))!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return "Stats(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS) + ")"
 
     def rule_counters(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in self.FIELDS if name not in self._BOOKKEEPING}
@@ -164,14 +160,13 @@ class Session:
     # -- public API ------------------------------------------------------------
 
     def normalize(self, ref: int) -> int:
-        """Code of ref's equivalence class; memoized per node."""
+        """Code of ref's equivalence class; memoized per node.
+
+        A root that already has a code is counted as one memo hit by the pass.
+        """
         self.arena._check(ref)
         node_codes = self._node_codes
         node_codes += [None] * (len(self.arena._payload) - len(node_codes))  # refs are dense: a slot per node
-        code = node_codes[ref]
-        if code is not None:
-            self.stats.memo_hits += 1
-            return code
         return self._run(ref)
 
     def equivalent(self, a: int, b: int) -> bool:

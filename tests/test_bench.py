@@ -71,6 +71,8 @@ def test_gen_family_validation():
         gen_family("fig6", 0)
     with pytest.raises(ValueError):
         gen_family("nope", 3)
+    with pytest.raises(ValueError, match="unknown family"):
+        family_scale("nope", 8)
 
 
 def test_run_bench_needs_five_points():
@@ -103,3 +105,5 @@ def test_fit_exponent_on_synthetic_data():
     sizes = [2**k for k in range(10, 15)]
     assert fit_exponent(sizes, [s * 17 for s in sizes]) == pytest.approx(1.0, abs=1e-6)
     assert fit_exponent(sizes, [s * s for s in sizes]) == pytest.approx(2.0, abs=1e-6)
+    with pytest.raises(ValueError, match="two points"):
+        fit_exponent([1], [1])

@@ -95,10 +95,11 @@ def test_batch_empty(tmp_path, capsys):
 
 def test_batch_bad_line(tmp_path, capsys):
     path = tmp_path / "pairs.txt"
-    path.write_text("a | b\na == b ==c\na | == b\n")
+    path.write_text("a | b\na == b ==c\na | == b\na == b # expect: maybe\n")
     code, _, err = run(capsys, "batch", str(path))
     assert code == 2
     assert "line 1" in err and "line 2" in err and "line 3" in err
+    assert "error: line 4: bad expectation 'maybe' (use eq or neq)\n" in err
 
 
 def test_batch_accepts_byte_order_mark(tmp_path, capsys):
@@ -120,18 +121,23 @@ def test_batch_missing_file(tmp_path, capsys):
 
 
 def test_bench_tsv(capsys):
-    code, out, err = run(
-        capsys, "bench", "--family", "fig7", "--min-exp", "4", "--max-exp", "8", "--reps", "1"
-    )
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "# family=fig7"
-    body = [line for line in lines[1:] if not line.startswith("#")]
-    assert len(body) == 5
-    for line in body:
-        size, nanos, codes = line.split("\t")
-        assert int(size) > 0 and int(nanos) > 0 and int(codes) > 0
-    assert "fitted exponent" in err
+    argv = ("bench", "--family", "fig7", "--min-exp", "4", "--max-exp", "8", "--reps", "1")
+    allocated = {}
+    for flags, mode in (((), "smallest-first"), (("--no-size-scheduling",), "stored-order")):
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[0] == "# family=fig7"
+        body = [line for line in lines[1:] if not line.startswith("#")]
+        assert len(body) == 5
+        for line in body:
+            size, nanos, codes = line.split("\t")
+            assert int(size) > 0 and int(nanos) > 0 and int(codes) > 0
+        assert f"({mode})" in err and "fitted exponent" in err
+        allocated[mode] = [int(line.split("\t")[2]) for line in body]
+    # stored order codes the joins that smallest-first collapses structurally
+    scheduled, stored = allocated["smallest-first"], allocated["stored-order"]
+    assert all(s >= c for s, c in zip(stored, scheduled)) and stored[-1] > scheduled[-1], allocated
 
 
 def test_bench_bad_range(capsys):

@@ -52,6 +52,8 @@ def test_ref_validation():
         arena.neg(0)
     with pytest.raises(ValueError):
         arena.join((a,))
+    with pytest.raises(ValueError, match="at least one child"):
+        arena.join(())
     arena.var("a")
     arena.var("b")
     uses = (
@@ -271,3 +273,12 @@ def test_print_term():
     assert print_term(arena, arena.join((a, arena.join((a, b))))) == "a | (a | b)"
     assert print_term(arena, arena.neg(arena.neg(a))) == "!!a"
     assert print_term(arena, arena.zero()) == "0"
+
+
+def test_print_term_agrees_with_print_formula():
+    # the two printers of the internal language: one walks the arena, the
+    # other the exported tree
+    arena = Arena()
+    for t in enumerate_terms(5):
+        ref = arena.intern_tree(t)
+        assert print_term(arena, ref) == print_formula(arena.export_tree(ref)), t

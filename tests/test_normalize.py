@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -377,6 +378,23 @@ def test_work_gate_catches_stored_order():
     assert s.stats.merge_work > 2 * formula_nodes(f), s.stats
 
 
+def test_coded_join_is_merged_not_spliced_again():
+    # a join that already has a code is merged by its member codes: each
+    # parent join((y_k, t)) flattens t's class once and meets t in the memo
+    # once, instead of splicing and visiting t's 200 variables again
+    arena, s = fresh()
+    t = arena.var("x0")
+    for i in range(1, 200):
+        t = arena.join((arena.var(f"x{i}"), t))
+    s.normalize(t)
+    parents = [arena.join((arena.var(f"y{k}"), t)) for k in range(50)]
+    before = dict(vars(s.stats))
+    for p in parents:
+        s.normalize(p)
+    assert s.stats.a2_flattens - before["a2_flattens"] == 50, s.stats
+    assert s.stats.memo_hits - before["memo_hits"] == 50, s.stats
+
+
 _FIG6_N = family_scale("fig6", 2**10)
 _FIG7_N = family_scale("fig7", 2**10)
 _A9_N = family_scale("a9", 2**10)
@@ -493,6 +511,7 @@ def test_stats_contract():
     assert list(vars(Stats())) == STATS_FIELDS
     assert all(v == 0 for v in vars(Stats()).values())
     assert Stats(a4_hits=2) == Stats(a4_hits=2) != Stats()
+    assert Stats(a4_hits=2) == SimpleNamespace(**vars(Stats(a4_hits=2)))  # a SimpleNamespace's equality
     assert Stats(a4_hits=2).a4_hits == 2
     with pytest.raises(TypeError):
         Stats(bogus=1)

@@ -42,6 +42,7 @@ def test_parse_conjunction_against_its_negation():
 
 def test_parse_precedence_and_flattening():
     assert parse("a | b & c") == Or((Var("a"), And((Var("b"), Var("c")))))
+    assert parse("a & b | c") == Or((And((Var("a"), Var("b"))), Var("c")))
     assert parse("a | b | c") == Or((Var("a"), Var("b"), Var("c")))
     assert parse("a & b & c & d") == And((Var("a"), Var("b"), Var("c"), Var("d")))
     # parentheses keep their nesting; only token chains flatten

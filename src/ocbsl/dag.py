@@ -120,7 +120,10 @@ class Arena:
         return len(self._payload)
 
     def _intern(self, payload) -> int:
-        """Ref of the node with this payload, appended if new; payload unchecked."""
+        """Ref of the node with this payload, appended if new; payload unchecked.
+
+        `intern_tree` writes these steps out inline for each node kind.
+        """
         ref = self._memo.get(payload)
         if ref is not None:
             return ref
@@ -228,28 +231,74 @@ class Arena:
         node's children are interned left to right before it, and an "and"
         interns the negated children left to right, then their join, then
         its negation.
+
+        Each node is interned inline, with the memo lookup, the appends and
+        the size saturation of `_intern` written out per kind: a call per
+        node was most of the cost of this loop.  `_intern` stays the path
+        of the builders and of `Session.extract_normal_form`;
+        tests/test_dag.py pins the two paths to the same refs, payloads,
+        sizes and memo.
         """
-        intern = self._intern  # the tree is checked and refs on `vals` came from it
+        nodes = _tree_nodes(term)  # the tree is checked and refs on `vals` came from it
+        payload, sizes, memo = self._payload, self._sizes, self._memo
+        lookup, add_payload, add_size = memo.get, payload.append, sizes.append
         vals: list[int] = []
         push = vals.append
-        for t in reversed(_tree_nodes(term)):
+        for t in reversed(nodes):
             head = t[0]
             if head == "var":
-                push(intern(t[1]))
+                p = t[1]
+                ref = lookup(p)
+                if ref is None:
+                    ref = memo[p] = len(payload)
+                    add_payload(p)
+                    add_size(1)
+                push(ref)
             elif head == "not":
-                vals[-1] = intern(vals[-1])
-            elif head == "or":
+                p = vals[-1]
+                ref = lookup(p)
+                if ref is None:
+                    ref = memo[p] = len(payload)
+                    add_payload(p)
+                    size = sizes[p] + 1
+                    add_size(size if size < SIZE_CAP else SIZE_CAP)
+                vals[-1] = ref
+            elif head == "or" or head == "and":
                 k = len(t[1])
-                children = tuple(vals[-k:])
+                children = vals[-k:]
                 del vals[-k:]
-                push(intern(children))
-            elif head == "and":
-                k = len(t[1])
-                negated = tuple([intern(c) for c in vals[-k:]])
-                del vals[-k:]
-                push(intern(intern(negated)))
+                if head == "and":  # de Morgan: negate each child, left to right
+                    for i, p in enumerate(children):
+                        ref = lookup(p)
+                        if ref is None:
+                            ref = memo[p] = len(payload)
+                            add_payload(p)
+                            size = sizes[p] + 1
+                            add_size(size if size < SIZE_CAP else SIZE_CAP)
+                        children[i] = ref
+                p = tuple(children)
+                ref = lookup(p)
+                if ref is None:
+                    ref = memo[p] = len(payload)
+                    add_payload(p)
+                    size = sum(map(sizes.__getitem__, p)) + 1
+                    add_size(size if size < SIZE_CAP else SIZE_CAP)
+                if head == "and":  # and the negation of the join
+                    p = ref
+                    ref = lookup(p)
+                    if ref is None:
+                        ref = memo[p] = len(payload)
+                        add_payload(p)
+                        size = sizes[p] + 1
+                        add_size(size if size < SIZE_CAP else SIZE_CAP)
+                push(ref)
             else:  # "0" or "1": the head is the leaf's text
-                push(intern(head))
+                ref = lookup(head)
+                if ref is None:
+                    ref = memo[head] = len(payload)
+                    add_payload(head)
+                    add_size(1)
+                push(ref)
         return vals[0]
 
     def export_tree(self, ref: int):

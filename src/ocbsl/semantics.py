@@ -36,8 +36,8 @@ def formula_table(f, names) -> int:
     """Packed table of a surface formula over names: and is &, or is |, not is full ^.
 
     Post-order and iterative, so it takes any depth `parse` does.  A
-    malformed node, a variable not in names or more than MAX_VARIABLES
-    names raises ValueError.
+    malformed node (a variable's name must be a `str`), a variable not in
+    names or more than MAX_VARIABLES names raises ValueError.
     """
     full, masks = _masks(names)
     stack = [(f, False)]
@@ -53,7 +53,7 @@ def formula_table(f, names) -> int:
             for _ in range(len(t[1]) - 1):
                 acc = acc & vals.pop() if head == "and" else acc | vals.pop()
             vals.append(acc)
-        elif head == "var" and len(t) == 2:
+        elif head == "var" and len(t) == 2 and isinstance(t[1], str):
             if t[1] not in masks:
                 raise ValueError(f"unbound variable {t[1]!r}")
             vals.append(masks[t[1]])

@@ -40,6 +40,16 @@ surrogate are parsed; each row holds the parsed `print_formula` or the
 
 It takes about a minute and writes 756,621 lines.  Not collected by
 pytest (the file name does not start with ``test_``).
+
+CI runs it and checks the output against the digest in
+``tests/record_codes.sha256`` (the output is the same under any
+``PYTHONHASHSEED``)::
+
+    PYTHONPATH=src:tests python tests/record_codes.py out.jsonl
+    sha256sum -c tests/record_codes.sha256
+
+Update that file only in a change that alters codes, refs or counters
+on purpose, and say why in the change.
 """
 
 from __future__ import annotations

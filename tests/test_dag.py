@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocbsl import formula_nodes, print_formula, rewrite, to_internal
+from ocbsl import dag, formula_nodes, print_formula, rewrite, to_internal
+from ocbsl.bench import FAMILIES, family_scale, gen_family
 from ocbsl.dag import _NAME_RE, JOIN, NEG, ONE, SIZE_CAP, VAR, ZERO, Arena, _check_name, _tree_nodes, print_term
 from enum_terms import enumerate_terms
+from gen import random_formula
 
 
 def test_interning_is_shared():
@@ -170,6 +174,62 @@ def test_intern_tree_interns_and_by_de_morgan_in_order():
     assert arena.join_children(4) == (2, 3)
 
 
+def _build(arena, t) -> int:
+    """Ref of tree t built through the checked builders, in post-order.
+
+    An "and" is built by de Morgan in the order `intern_tree` documents:
+    the children, each child's negation left to right, their join, then
+    the join's negation.
+    """
+    head = t[0]
+    if head == "var":
+        return arena.var(t[1])
+    if head == "0":
+        return arena.zero()
+    if head == "1":
+        return arena.one()
+    if head == "not":
+        return arena.neg(_build(arena, t[1]))
+    children = [_build(arena, c) for c in t[1]]
+    if head == "or":
+        return arena.join(children)
+    return arena.neg(arena.join([arena.neg(c) for c in children]))
+
+
+def _assert_same_arenas(trees):
+    # `intern_tree` interns inline; the builders go through `_intern`
+    inline, built = Arena(), Arena()
+    assert [inline.intern_tree(t) for t in trees] == [_build(built, t) for t in trees]
+    assert inline._payload == built._payload
+    assert inline._sizes == built._sizes
+    assert inline._memo == built._memo
+    return inline
+
+
+def test_intern_tree_matches_the_builders():
+    # one shared arena per path, so later trees hit the memo of earlier ones
+    rng = random.Random(18)
+    trees = [random_formula(rng, rng.randint(1, 40), ["a", "b", "c", "d"]) for _ in range(400)]
+    trees += [gen_family(family, family_scale(family, 2**8)) for family in FAMILIES]
+    arena = _assert_same_arenas(trees)
+    assert {type(p) for p in arena._payload} == {str, int, tuple}
+    assert {"0", "1"} <= set(arena._payload)
+    assert any(t[0] == "and" for t in trees)
+
+
+def test_intern_tree_saturates_sizes_as_the_builders_do(monkeypatch):
+    # a real tree cannot reach 2**64 nodes, so lower the cap: each kind of
+    # node that `intern_tree` sizes (not, or, and's negations, join and
+    # outer negation) then crosses it
+    monkeypatch.setattr(dag, "SIZE_CAP", 40)
+    t = ("var", "a")
+    for i in range(30):
+        t = ("not", ("or", (t, ("var", f"x{i}")))) if i % 2 else ("and", (("var", f"y{i}"), t, ("1",)))
+    arena = _assert_same_arenas([t, ("or", (t, t)), ("and", (t, ("0",)))])
+    assert max(arena._sizes) == 40
+    assert arena._sizes.count(40) > 10
+
+
 @pytest.mark.parametrize(
     "tree",
     [
@@ -198,11 +258,13 @@ def test_intern_tree_rejects_malformed_trees(tree):
     # every walker of the tree shape rejects it, and none interns a part
     arena = Arena()
     arena.var("a")
+    before = (list(arena._payload), list(arena._sizes), dict(arena._memo))
     with pytest.raises(ValueError):
         arena.intern_tree(tree)
     with pytest.raises(ValueError):
         to_internal(tree, arena)
     assert len(arena) == 1
+    assert (arena._payload, arena._sizes, arena._memo) == before
     with pytest.raises(ValueError):
         formula_nodes(tree)
     with pytest.raises(ValueError):

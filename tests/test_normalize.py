@@ -1,12 +1,14 @@
+import collections
 import math
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
 
 from ocbsl import Arena, ONE_CODE, Session, Stats, ZERO_CODE, neg_of, parse, print_term, to_internal
 from ocbsl import rewrite as rw
-from ocbsl.bench import family_scale, gen_family
+from ocbsl.bench import FAMILIES, family_scale, gen_family
 from ocbsl.syntax import formula_nodes
 from enum_terms import enumerate_terms
 
@@ -352,6 +354,43 @@ def test_work_is_linear_in_surface_nodes(family):
             assert 0 < s.stats.a9_probe_work <= 2 * nodes, (nodes, s.stats)
 
 
+def _python_calls(fn, *args):
+    """fn(*args), and the Python-level function calls it made by function name."""
+    calls: collections.Counter = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verdict_path_makes_no_call_per_node(family):
+    # a clock-free guard on the constant factor: interning and the fused
+    # pass spend no Python call per node or per leaf
+    f = gen_family(family, family_scale(family, 2**10))
+    arena = Arena()
+    root, calls = _python_calls(to_internal, f, arena)
+    assert sum(calls.values()) <= 4, calls  # to_internal, intern_tree, _tree_nodes
+    joins = sum(type(p) is tuple for p in arena._payload)
+    s = Session(arena)
+    _, calls = _python_calls(s.normalize, root)
+    # one `_receive` per join frame the pass opens, and one per uncoded
+    # join handed up a collapse seam; a frame's join then costs at most
+    # one `_finish_join`, whose new class costs `_join_code` and `_new_class`
+    receives = calls["_receive"]
+    assert 0 < receives <= joins, calls
+    assert calls["_new_class"] <= calls["_join_code"] <= calls["_finish_join"] <= receives, calls
+    assert sum(calls.values()) <= 4 * receives + 3, calls  # and normalize, _check, _run
+
+
 @pytest.mark.xfail(strict=True, reason="a shared nested join is spliced and merged again by every parent")
 def test_work_is_quasilinear_in_dag_size_on_a_shared_tail():
     # n parents !(y_k | T) share one fig6 tail T of n variables, all under
@@ -452,6 +491,15 @@ _A9_NF = " | ".join([f"a{i}" for i in range(1, _A9_N + 1)] + [f"!(a{i} | b{i})" 
                  nodes_visited=12, memo_hits=1, codes_allocated=7, merge_work=7),
             (16, 17),
             id="seam-spliced",
+        ),
+        # both children collapse to the seam a: the first is queued in the
+        # root frame, the second is a duplicate there
+        pytest.param(
+            parse("!!(0 | a) | !!!!(0 | a)"), True, "a",
+            dict(a2b_collapses=3, a3_dedups=1, a5_drops=2, a6_strips=3, nodes_visited=8, memo_hits=1,
+                 codes_allocated=1, merge_work=1),
+            (1, 8),
+            id="seam-queued-then-deduplicated",
         ),
         pytest.param(
             gen_family("fig7", _FIG7_N), False, _FIG7_NF,

@@ -130,8 +130,20 @@ def test_eval_formula_deep_chain():
 
 @pytest.mark.parametrize(
     "bad",
-    [("foo", (("1",),)), ("not",), ("or", ()), ("and", [("1",)]), ("var",), (), "a", ("or", (("bar",),))],
+    [
+        ("foo", (("1",),)),
+        ("not",),
+        ("or", ()),
+        ("and", [("1",)]),
+        ("var",),
+        (),
+        "a",
+        ("or", (("bar",),)),
+        # an unhashable name, which must not escape as the lookup's TypeError
+        ("var", ["x"]),
+        ("var", {"x": 1}),
+    ],
 )
 def test_eval_formula_rejects_malformed_nodes(bad):
     with pytest.raises(ValueError):
-        formula_table(bad, [])
+        formula_table(bad, ["x"])

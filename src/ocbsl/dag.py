@@ -234,8 +234,10 @@ class Arena:
 
         Each node is interned inline, with the memo lookup, the appends and
         the size saturation of `_intern` written out per kind: a call per
-        node was most of the cost of this loop.  `_intern` stays the path
-        of the builders and of `Session.extract_normal_form`;
+        node was most of the cost of this loop.  A two-child "or", the
+        commonest join, pops its right child and overwrites its left one
+        on the value stack instead of slicing both off.  `_intern` stays
+        the path of the builders and of `Session.extract_normal_form`;
         tests/test_dag.py pins the two paths to the same refs, payloads,
         sizes and memo.
         """
@@ -261,6 +263,17 @@ class Arena:
                     ref = memo[p] = len(payload)
                     add_payload(p)
                     size = sizes[p] + 1
+                    add_size(size if size < SIZE_CAP else SIZE_CAP)
+                vals[-1] = ref
+            elif head == "or" and len(t[1]) == 2:  # the common join: no slice
+                b = vals.pop()
+                a = vals[-1]
+                p = (a, b)
+                ref = lookup(p)
+                if ref is None:
+                    ref = memo[p] = len(payload)
+                    add_payload(p)
+                    size = sizes[a] + sizes[b] + 1
                     add_size(size if size < SIZE_CAP else SIZE_CAP)
                 vals[-1] = ref
             elif head == "or" or head == "and":

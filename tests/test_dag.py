@@ -179,21 +179,28 @@ def _build(arena, t) -> int:
 
     An "and" is built by de Morgan in the order `intern_tree` documents:
     the children, each child's negation left to right, their join, then
-    the join's negation.
+    the join's negation.  Iterative, so that deep chains fit the stack.
     """
-    head = t[0]
-    if head == "var":
-        return arena.var(t[1])
-    if head == "0":
-        return arena.zero()
-    if head == "1":
-        return arena.one()
-    if head == "not":
-        return arena.neg(_build(arena, t[1]))
-    children = [_build(arena, c) for c in t[1]]
-    if head == "or":
-        return arena.join(children)
-    return arena.neg(arena.join([arena.neg(c) for c in children]))
+    vals: list[int] = []
+    for node in reversed(_tree_nodes(t)):
+        head = node[0]
+        if head == "var":
+            vals.append(arena.var(node[1]))
+        elif head == "0":
+            vals.append(arena.zero())
+        elif head == "1":
+            vals.append(arena.one())
+        elif head == "not":
+            vals.append(arena.neg(vals.pop()))
+        else:
+            k = len(node[1])
+            children = vals[-k:]
+            del vals[-k:]
+            if head == "or":
+                vals.append(arena.join(children))
+            else:
+                vals.append(arena.neg(arena.join([arena.neg(c) for c in children])))
+    return vals[0]
 
 
 def _assert_same_arenas(trees):
@@ -210,7 +217,17 @@ def test_intern_tree_matches_the_builders():
     # one shared arena per path, so later trees hit the memo of earlier ones
     rng = random.Random(18)
     trees = [random_formula(rng, rng.randint(1, 40), ["a", "b", "c", "d"]) for _ in range(400)]
-    trees += [gen_family(family, family_scale(family, 2**8)) for family in FAMILIES]
+    families = [gen_family(family, family_scale(family, 2**8)) for family in FAMILIES]
+    trees += families
+    # binary joins nested to the left and to the right, about 2^10 nodes each
+    left = right = ("var", "c0")
+    for i in range(1, 2**9):
+        left, right = ("or", (left, ("var", f"l{i}"))), ("or", (("var", f"r{i}"), right))
+    trees += [left, right]
+    # both children one ref, already interned: the joins below are new the
+    # first time and memo hits the second
+    t = families[0]
+    trees += [("or", (t, t)), ("and", (t, t))] * 2 + [("or", (left, left))]
     arena = _assert_same_arenas(trees)
     assert {type(p) for p in arena._payload} == {str, int, tuple}
     assert {"0", "1"} <= set(arena._payload)

@@ -9,7 +9,7 @@ import pytest
 from ocbsl import Arena, ONE_CODE, Session, Stats, ZERO_CODE, neg_of, parse, print_term, to_internal
 from ocbsl import rewrite as rw
 from ocbsl.bench import FAMILIES, family_scale, gen_family
-from ocbsl.syntax import formula_nodes
+from ocbsl.syntax import formula_nodes, print_formula
 from enum_terms import enumerate_terms
 
 
@@ -389,6 +389,16 @@ def test_verdict_path_makes_no_call_per_node(family):
     assert 0 < receives <= joins, calls
     assert calls["_new_class"] <= calls["_join_code"] <= calls["_finish_join"] <= receives, calls
     assert sum(calls.values()) <= 4 * receives + 3, calls  # and normalize, _check, _run
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_parse_makes_no_call_per_token(family):
+    # the other half of the front end: cutting the text and building the
+    # tuples happen inside `parse` itself
+    text = print_formula(gen_family(family, family_scale(family, 2**10)))
+    f, calls = _python_calls(parse, text)
+    assert calls == {"parse": 1}, calls
+    assert formula_nodes(f) > 2**9
 
 
 @pytest.mark.xfail(strict=True, reason="a shared nested join is spliced and merged again by every parent")

@@ -1,11 +1,13 @@
 import random
+import re
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocbsl import Arena, Session
+from ocbsl import Arena, Session, syntax
 from ocbsl.syntax import (
     And,
     Const,
@@ -118,6 +120,70 @@ def test_parse_round_trips_or_spans_the_offending_bytes(text):
                 assert err.message == prefix + repr(spanned)
     else:
         assert parse(print_formula(f)) == f
+
+
+def _outcome(text):
+    """parse(text), or the message and span of the ParseError it raises."""
+    try:
+        return parse(text)
+    except ParseError as err:
+        return err.message, err.span
+
+
+def _outcome_by_findall(text):
+    # the guard never matches in full, so every text is cut by `findall`
+    with mock.patch.object(syntax, "_PLAIN_RE", re.compile(r"(?!)")):
+        return _outcome(text)
+
+
+# whitespace to `str.split` but not to the grammar: "a\x1cb".split() == ["a", "b"]
+_SPLIT_ONLY_WHITESPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028"]
+# every ASCII code point, and non-ASCII characters a cut could mistake for
+# whitespace, a digit or a name; "\udcff" is a lone surrogate
+_ANY_CHAR = [chr(c) for c in range(128)] + ["\x85", "\xa0", "\u2028", "é", "٣", "\udcff"]
+_PLAIN_PIECES = ["a", "b", "x_1", "abc_12", "0", "1", "01", "0a", *"!~&|()", " ", "\t", "\r", "\n"]
+
+
+@settings(max_examples=1500, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_PLAIN_PIECES), max_size=16),  # the `str.split` cut
+        st.lists(st.sampled_from(_PLAIN_PIECES * 4 + _ANY_CHAR), max_size=16),  # mostly the `findall` one
+    ).map("".join)
+)
+def test_split_cut_parses_as_findall_does(text):
+    assert _outcome(text) == _outcome_by_findall(text)
+
+
+@pytest.mark.parametrize("ch", _SPLIT_ONLY_WHITESPACE)
+def test_whitespace_of_str_split_stays_unexpected(ch):
+    # the split cut would read "a<ch>b" as two names
+    assert str.split(f"a{ch}b") == ["a", "b"]
+    for text in (f"a{ch}b", f"a |{ch}b", f"({ch}a)"):
+        message, span = _outcome(text)
+        assert message == f"unexpected character {ch!r}"
+        assert (message, span) == _outcome_by_findall(text)
+
+
+class _Scrambled(str):
+    def replace(self, *args):
+        return "x"
+
+    def split(self, *args):
+        return ["(", "("]
+
+
+@pytest.mark.parametrize("text", ["a | (b & !c)", "~(x_1) & 0 | 1", "a |", "a b", "a\x0cb"])
+def test_str_subclass_parses_like_its_plain_value(text):
+    assert _outcome(_Scrambled(text)) == _outcome(text)
+    f = parse(_Scrambled("abc"))
+    assert f == ("var", "abc") and type(f[1]) is str
+
+
+@pytest.mark.parametrize("value", [None, 5, b"a | b", bytearray(b"a"), ["a"]])
+def test_parse_rejects_a_non_str_with_type_error(value):
+    with pytest.raises(TypeError):
+        parse(value)
 
 
 def test_parse_peak_memory_is_near_what_the_result_keeps():

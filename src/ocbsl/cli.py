@@ -220,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         del fields["command"]
         dispatch = fields.pop("func"), fields
     command, fields = dispatch
+    if sys.stdout is None:  # started with stdout closed (`>&-`): no verdict can be written
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return EXIT_ERROR
     try:
         code = command(**fields)
         sys.stdout.flush()  # so that a full disk shows here, not after main returns

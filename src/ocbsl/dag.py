@@ -55,8 +55,10 @@ __all__ = [
 VAR, ZERO, ONE, NEG, JOIN = range(5)
 
 # Underlying-tree sizes saturate here instead of growing without bound.
-# Order among saturated values is lost, which only blurs the child
-# schedule for absurdly large subtrees, never correctness.
+# Only a DAG built with the builders (`var`, `neg`, `join`) can reach the
+# cap: a tree interned by `intern_tree` expands to at most three times its
+# own node count.  Order among saturated values is lost, which only blurs
+# the child schedule for absurdly large subtrees, never correctness.
 SIZE_CAP = 2**64 - 1
 
 # A variable name; `syntax` scans names with this pattern.  `_check_name`
@@ -232,14 +234,17 @@ class Arena:
         interns the negated children left to right, then their join, then
         its negation.
 
-        Each node is interned inline, with the memo lookup, the appends and
-        the size saturation of `_intern` written out per kind: a call per
-        node was most of the cost of this loop.  A two-child "or", the
-        commonest join, pops its right child and overwrites its left one
-        on the value stack instead of slicing both off.  `_intern` stays
-        the path of the builders and of `Session.extract_normal_form`;
-        tests/test_dag.py pins the two paths to the same refs, payloads,
-        sizes and memo.
+        Each node is interned inline, with the memo lookup and the appends
+        of `_intern` written out per kind: a call per node was most of the
+        cost of this loop.  A two-child "or", the commonest join, pops its
+        right child and overwrites its left one on the value stack instead
+        of slicing both off.  Sizes are not saturated as in `_intern`: each
+        "and" of k children adds k + 1 nodes, so a tree of N nodes expands
+        to at most 3N, and `_tree_nodes` has just walked all N of them, far
+        short of SIZE_CAP.  A memo hit is a node of the same content, so of
+        the same size.  `_intern` stays the path of the builders and of
+        `Session.extract_normal_form`; tests/test_dag.py pins the two paths
+        to the same refs, payloads, sizes and memo.
         """
         nodes = _tree_nodes(term)  # the tree is checked and refs on `vals` came from it
         payload, sizes, memo = self._payload, self._sizes, self._memo
@@ -262,8 +267,7 @@ class Arena:
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    size = sizes[p] + 1
-                    add_size(size if size < SIZE_CAP else SIZE_CAP)
+                    add_size(sizes[p] + 1)
                 vals[-1] = ref
             elif head == "or" and len(t[1]) == 2:  # the common join: no slice
                 b = vals.pop()
@@ -273,8 +277,7 @@ class Arena:
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    size = sizes[a] + sizes[b] + 1
-                    add_size(size if size < SIZE_CAP else SIZE_CAP)
+                    add_size(sizes[a] + sizes[b] + 1)
                 vals[-1] = ref
             elif head == "or" or head == "and":
                 k = len(t[1])
@@ -286,24 +289,21 @@ class Arena:
                         if ref is None:
                             ref = memo[p] = len(payload)
                             add_payload(p)
-                            size = sizes[p] + 1
-                            add_size(size if size < SIZE_CAP else SIZE_CAP)
+                            add_size(sizes[p] + 1)
                         children[i] = ref
                 p = tuple(children)
                 ref = lookup(p)
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    size = sum(map(sizes.__getitem__, p)) + 1
-                    add_size(size if size < SIZE_CAP else SIZE_CAP)
+                    add_size(sum(map(sizes.__getitem__, p)) + 1)
                 if head == "and":  # and the negation of the join
                     p = ref
                     ref = lookup(p)
                     if ref is None:
                         ref = memo[p] = len(payload)
                         add_payload(p)
-                        size = sizes[p] + 1
-                        add_size(size if size < SIZE_CAP else SIZE_CAP)
+                        add_size(sizes[p] + 1)
                 push(ref)
             else:  # "0" or "1": the head is the leaf's text
                 ref = lookup(head)

@@ -150,21 +150,17 @@ class Session:
 
     # -- the class table -------------------------------------------------------
 
-    def _new_class(self, key) -> int:
-        """Even code of a new class keyed by `key`.
+    def _join_code(self, key: tuple[int, ...]) -> int:
+        """Code of the join class with these member codes, numbered if new.
 
         `_run` numbers a variable's class the same way inline.
         """
-        code = 2 * len(self._classes)
-        self._classes.append(key)
-        self.stats.codes_allocated += 1
-        return code
-
-    def _join_code(self, key: tuple[int, ...]) -> int:
-        """Code of the join class with these member codes, numbered if new."""
         code = self._codes.get(key)
         if code is None:
-            code = self._codes[key] = self._new_class(key)
+            classes = self._classes
+            code = self._codes[key] = 2 * len(classes)
+            classes.append(key)
+            self.stats.codes_allocated += 1
         return code
 
     def _class_key(self, code: int):
@@ -236,8 +232,11 @@ class Session:
     # A join frame is a tuple (node, acc, todo, seen): the join's ref, the
     # nonzero codes of finished children, the children still queued and the
     # refs received.  `todo` is sorted by tree size, largest first, so
-    # `pop()` takes the smallest child.  A batch is sorted once, stably, when
-    # it arrives: all children when the frame opens, or later the seam of a
+    # `pop()` takes the smallest child.  One block queues children: it takes
+    # `incoming`, the refs handed to the top frame, splices the joins not
+    # coded yet (iteratively, so a chain does not recurse), drops the refs
+    # already in `seen` and sorts the rest once, stably.  A frame receives
+    # its join's children when it opens, and later perhaps the seam of a
     # collapsed child.  A seam is a proper subterm of a child popped as the
     # smallest, so it is smaller than everything still queued and appending
     # it keeps the order, except among sizes saturated at SIZE_CAP, whose
@@ -247,46 +246,18 @@ class Session:
     # checked accessors: `normalize` checks the root, and every other ref
     # the pass meets is a descendant of it.
 
-    def _receive(self, frame: tuple, refs: tuple[int, ...]) -> None:
-        """Queue child terms in a join frame.
-
-        Splices not-yet-coded joins and drops handle-level duplicates.
-        Iterative: splicing a chain must not recurse.
-        """
-        arena = self.arena
-        payload = arena._payload
-        stats = self.stats
-        node_codes = self._node_codes
-        _, _, todo, seen = frame
-        batch: list[int] = []
-        work = list(reversed(refs))
-        while work:
-            r = work.pop()
-            if r in seen:
-                stats.a3_dedups += 1
-                continue
-            seen.add(r)
-            p = payload[r]
-            if type(p) is tuple and node_codes[r] is None:  # a join not coded yet
-                stats.a2_flattens += 1
-                work.extend(reversed(p))
-            else:
-                batch.append(r)
-        if self.size_scheduling:
-            batch.sort(key=arena._sizes.__getitem__)
-        batch.reverse()
-        todo += batch
-
     def _run(self, root: int) -> int:
         payload = self.arena._payload
+        sizes = self.arena._sizes
         node_codes = self._node_codes
         codes, classes = self._codes, self._classes
-        receive, finish_join = self._receive, self._finish_join
+        finish_join = self._finish_join
         scheduling = self.size_scheduling
         stack: list = []  # negation refs awaiting their child's code, and join frames
         current = root  # term waiting to be resolved
+        incoming = None  # refs to queue in the top frame
         # added to self.stats at the end
-        visited = memo = drops = strips = collapses = a10 = a11 = dedups = allocated = 0
+        visited = memo = flattens = drops = strips = collapses = a10 = a11 = dedups = allocated = 0
         try:
             while True:
                 # Resolve `current` into a code, or push a frame for it.
@@ -306,10 +277,10 @@ class Session:
                         continue
                     if type(p) is tuple:  # a join
                         stack.append((current, [], [], set()))
-                        receive(stack[-1], p)
+                        incoming = p
                     else:  # a leaf: a constant, or a variable met for the first time
                         code = codes.get(p)
-                        if code is None:  # a new class keyed by the name, as in `_new_class`
+                        if code is None:  # a new class keyed by the name, as in `_join_code`
                             code = 2 * len(classes)
                             classes.append(p)
                             allocated += 1
@@ -318,7 +289,28 @@ class Session:
                 # Deliver codes and advance join frames until a term needs resolving.
                 current = None
                 while current is None:
-                    if code is not None:
+                    if incoming:
+                        _, _, todo, seen = stack[-1]
+                        batch: list[int] = []
+                        work = list(reversed(incoming))
+                        incoming = None
+                        while work:
+                            r = work.pop()
+                            if r in seen:
+                                dedups += 1
+                                continue
+                            seen.add(r)
+                            p = payload[r]
+                            if type(p) is tuple and node_codes[r] is None:  # a join not coded yet
+                                flattens += 1
+                                work.extend(reversed(p))
+                            else:
+                                batch.append(r)
+                        if scheduling:
+                            batch.sort(key=sizes.__getitem__)
+                        batch.reverse()
+                        todo += batch
+                    elif code is not None:
                         if not stack:
                             node_codes[root] = code
                             return code
@@ -360,22 +352,14 @@ class Session:
                             while type(payload[seam]) is int and type(payload[payload[seam]]) is int:
                                 strips += 1  # a double negation
                                 seam = payload[payload[seam]]
-                            # Queue the seam in the enclosing frame as `_receive`
-                            # would; only a join to splice goes through it.
-                            _, _, todo, seen = stack[-1]
-                            if seam in seen:
-                                dedups += 1
-                            elif type(payload[seam]) is tuple and node_codes[seam] is None:
-                                receive(stack[-1], (seam,))
-                            else:
-                                seen.add(seam)
-                                todo.append(seam)
+                            incoming = (seam,)  # queued in the enclosing frame
                     else:
                         current = todo.pop()
         finally:
             stats = self.stats
             stats.nodes_visited += visited
             stats.memo_hits += memo
+            stats.a2_flattens += flattens
             stats.a5_drops += drops
             stats.a6_strips += strips
             stats.a2b_collapses += collapses

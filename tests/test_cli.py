@@ -366,6 +366,21 @@ def test_closed_pipe_exits_2(tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_closed_stdout_exits_2(tmp_path, monkeypatch, capsys):
+    # `ocbsl check a a >&-` starts with sys.stdout None; writing to it must
+    # not crash into exit 1, which reads as a verdict
+    path = tmp_path / "pairs.txt"
+    path.write_text("a | b == b | a\n", encoding="utf-8")
+    argvs = [["check", "a", "a"], ["check", "a", "b"], ["normalize", "a"], ["batch", str(path)]]
+    argvs.append(["bench", "--family", "fig6", "--min-exp", "4", "--max-exp", "6", "--reps", "1"])
+    monkeypatch.setattr(sys, "stdout", None)
+    for argv in argvs:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, (argv, err)
+        assert err == "error: cannot write output: stdout is closed\n", (argv, err)
+
+
 def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     # exit 1 is "not equivalent"; running out of room must not be read as it
     from ocbsl import Session

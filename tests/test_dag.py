@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocbsl import dag, formula_nodes, print_formula, rewrite, to_internal
+from ocbsl import formula_nodes, print_formula, rewrite, to_internal
 from ocbsl.bench import FAMILIES, family_scale, gen_family
 from ocbsl.dag import _NAME_RE, JOIN, NEG, ONE, SIZE_CAP, VAR, ZERO, Arena, _check_name, _tree_nodes, print_term
 from enum_terms import enumerate_terms
@@ -234,17 +234,21 @@ def test_intern_tree_matches_the_builders():
     assert any(t[0] == "and" for t in trees)
 
 
-def test_intern_tree_saturates_sizes_as_the_builders_do(monkeypatch):
-    # a real tree cannot reach 2**64 nodes, so lower the cap: each kind of
-    # node that `intern_tree` sizes (not, or, and's negations, join and
-    # outer negation) then crosses it
-    monkeypatch.setattr(dag, "SIZE_CAP", 40)
-    t = ("var", "a")
-    for i in range(30):
-        t = ("not", ("or", (t, ("var", f"x{i}")))) if i % 2 else ("and", (("var", f"y{i}"), t, ("1",)))
-    arena = _assert_same_arenas([t, ("or", (t, t)), ("and", (t, ("0",)))])
-    assert max(arena._sizes) == 40
-    assert arena._sizes.count(40) > 10
+def test_intern_tree_sizes_are_exact():
+    # an "and" of k children adds k negations, a join and its negation: the
+    # expanded size is at most three times the tree's, so `intern_tree`
+    # needs no saturation
+    def expanded(tree):
+        nodes = _tree_nodes(tree)
+        return len(nodes) + sum(len(t[1]) + 1 for t in nodes if t[0] == "and")
+
+    rng = random.Random(20)
+    trees = [random_formula(rng, rng.randint(1, 60), ["a", "b", "c", "d"]) for _ in range(300)]
+    trees += [gen_family(family, family_scale(family, 2**10)) for family in FAMILIES]
+    arena = Arena()  # shared, so later trees hit the memo of earlier ones
+    for t in trees:
+        assert arena.tree_size(arena.intern_tree(t)) == expanded(t) <= 3 * len(_tree_nodes(t)), t
+    assert any(t[0] == "and" for t in trees)
 
 
 @pytest.mark.parametrize(

@@ -33,11 +33,38 @@ EXIT_DIFFERENT = 1
 EXIT_ERROR = 2
 
 
+def _to_null(stream) -> None:
+    """Point a stream that refused a write at the null device: the interpreter
+    flushes stdout and stderr at exit, and a line still buffered would fail
+    there again and turn the exit code into 120."""
+    try:
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), stream.fileno())
+    except OSError:  # no descriptor (an in-process caller's stream) or none left
+        pass
+
+
+def _say(line: str) -> None:
+    """Write a line to stderr, the only code here that touches it.  A line
+    stderr cannot take (closed at start, so None; a bad descriptor; a full
+    disk) is dropped: it never reaches stdout nor changes the exit code."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(line + "\n")
+    except OSError:
+        _to_null(sys.stderr)
+
+
+def _fail(message: str) -> int:
+    _say("error: " + message)
+    return EXIT_ERROR
+
+
 def _parse_or_report(text: str, label: str) -> "object | None":
     try:
         return parse(text)
     except ParseError as exc:
-        print(f"error: {label}: {exc}", file=sys.stderr)
+        _say(f"error: {label}: {exc}")
         return None
 
 
@@ -85,30 +112,23 @@ def _cmd_batch(path: str) -> int:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(str(exc))
     except UnicodeDecodeError:
-        print(f"error: {path}: not valid UTF-8", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(f"{path}: not valid UTF-8")
     except ValueError as exc:  # a NUL in the name, which only an in-process caller can pass
-        print(f"error: bad file name: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(f"bad file name: {exc}")
     arena = Arena()
     session = Session(arena)
     checked = equivalent_count = violations = errors = 0
     for lineno, raw in enumerate(lines, start=1):
-        try:
+        try:  # a bad line, in its layout or a formula, is one error (ParseError is a ValueError)
             payload = _split_batch_line(raw)
+            if payload is None:
+                continue
+            lhs_text, rhs_text, expect = payload
+            lhs, rhs = parse(lhs_text), parse(rhs_text)
         except ValueError as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            errors += 1
-            continue
-        if payload is None:
-            continue
-        lhs_text, rhs_text, expect = payload
-        lhs = _parse_or_report(lhs_text, f"line {lineno}")
-        rhs = None if lhs is None else _parse_or_report(rhs_text, f"line {lineno}")
-        if rhs is None:
+            _say(f"error: line {lineno}: {exc}")
             errors += 1
             continue
         same = session.equivalent(to_internal(lhs, arena), to_internal(rhs, arena))
@@ -130,24 +150,16 @@ def _cmd_bench(family: str, min_exp: int, max_exp: int, reps: int, no_size_sched
     from .bench import report_tsv, run_bench
 
     if min_exp > max_exp:
-        print("error: --min-exp must not exceed --max-exp", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail("--min-exp must not exceed --max-exp")
     try:
-        report = run_bench(
-            family,
-            range(min_exp, max_exp + 1),
-            reps=reps,
-            size_scheduling=not no_size_scheduling,
-        )
+        report = run_bench(family, range(min_exp, max_exp + 1), reps=reps, size_scheduling=not no_size_scheduling)
     except ValueError as exc:  # run_bench rejects too few or repeated sizes, an exponent over MAX_EXP, or reps < 1
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(str(exc))
     sys.stdout.write(report_tsv(report))
     mode = "stored-order" if no_size_scheduling else "smallest-first"
-    print(
+    _say(
         f"{report.family} ({mode}): sizes {report.sizes[0]}..{report.sizes[-1]}, "
-        f"fitted exponent {report.fitted_exponent:.3f}",
-        file=sys.stderr,
+        f"fitted exponent {report.fitted_exponent:.3f}"
     )
     return 0
 
@@ -182,7 +194,7 @@ def _parser():
     class _Parser(argparse.ArgumentParser):
         def error(self, message):
             # one line, as every other error here; subparsers inherit this class
-            self.exit(EXIT_ERROR, f"error: {message}\n")
+            self.exit(_fail(message))
 
     parser = _Parser(
         prog="ocbsl",
@@ -221,24 +233,17 @@ def main(argv: list[str] | None = None) -> int:
         dispatch = fields.pop("func"), fields
     command, fields = dispatch
     if sys.stdout is None:  # started with stdout closed (`>&-`): no verdict can be written
-        print("error: cannot write output: stdout is closed", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail("cannot write output: stdout is closed")
     try:
         code = command(**fields)
         sys.stdout.flush()  # so that a full disk shows here, not after main returns
     except MemoryError as exc:
         # exit 1 means "not equivalent", so running out of room must not crash into it
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_ERROR
+        return _fail(str(exc) or "out of memory")
     except OSError as exc:
         # stdout refused the output (a full disk, a closed pipe); nor may this read as a verdict
-        if isinstance(exc, BrokenPipeError):
-            # the interpreter flushes stdout once more at exit; send that to nowhere
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        _to_null(sys.stdout)
+        return _fail(f"cannot write output: {exc}")
     return code
 
 

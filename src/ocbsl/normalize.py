@@ -150,19 +150,6 @@ class Session:
 
     # -- the class table -------------------------------------------------------
 
-    def _join_code(self, key: tuple[int, ...]) -> int:
-        """Code of the join class with these member codes, numbered if new.
-
-        `_run` numbers a variable's class the same way inline.
-        """
-        code = self._codes.get(key)
-        if code is None:
-            classes = self._classes
-            code = self._codes[key] = 2 * len(classes)
-            classes.append(key)
-            self.stats.codes_allocated += 1
-        return code
-
     def _class_key(self, code: int):
         """Key of code's class (None for the constants); rejects unassigned codes."""
         # exactly int: a bool is an int too, and True would pass for code 1
@@ -280,7 +267,7 @@ class Session:
                         incoming = p
                     else:  # a leaf: a constant, or a variable met for the first time
                         code = codes.get(p)
-                        if code is None:  # a new class keyed by the name, as in `_join_code`
+                        if code is None:  # a new class keyed by the name, as in `_finish_join`
                             code = 2 * len(classes)
                             classes.append(p)
                             allocated += 1
@@ -415,4 +402,9 @@ class Session:
         if m == 1:
             stats.a2b_collapses += 1
             return codes[0]
-        return self._join_code(codes)
+        code = self._codes.get(codes)
+        if code is None:
+            code = self._codes[codes] = 2 * len(classes)
+            classes.append(codes)
+            stats.codes_allocated += 1
+        return code

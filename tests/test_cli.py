@@ -1,6 +1,10 @@
+import errno
 import io
+import itertools
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -324,9 +328,15 @@ def test_normalize_output_parses():
     parse(proc.stdout.strip())
 
 
+# The environment of the child processes below.  PYTHONUNBUFFERED=1 would
+# hide the default case: a line that a buffered stream failed to write is
+# flushed again at exit, and a second failure there exits 120.
+BUFFERED_ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
 def _run_cli(argv, stdout):
     return subprocess.run(
-        [sys.executable, "-m", "ocbsl", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True
+        [sys.executable, "-m", "ocbsl", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=BUFFERED_ENV
     )
 
 
@@ -396,3 +406,87 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err == "error: out of memory\n", err
+
+
+class _RefusingStream(io.TextIOBase):
+    """A stream whose every write fails, as on a bad descriptor or a full disk."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def write(self, text):
+        raise OSError(self.code, os.strerror(self.code))
+
+
+def _timings_masked(out):
+    """bench's TSV with its clock readings blanked; any other output as is."""
+    return re.sub(r"fitted_exponent=\S+", "fitted_exponent=*", re.sub(r"(?m)^(\d+)\t\d+\t", r"\1\t*\t", out))
+
+
+def _main_with_stderr(argv, stderr):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(stderr):
+        code = main(argv)
+    return code, _timings_masked(out.getvalue())
+
+
+@pytest.mark.parametrize("stderr", [None, errno.EBADF, errno.ENOSPC], ids=["closed", "bad-descriptor", "full"])
+def test_unwritable_stderr_changes_no_code_or_output(tmp_path, stderr):
+    # a diagnostic goes to stderr or nowhere: never to stdout, never into the exit code
+    clean, bad = tmp_path / "clean.txt", tmp_path / "bad.txt"
+    clean.write_text("a | b == b | a\n", encoding="utf-8")
+    bad.write_text("a == a\nb ==\nc == c\n", encoding="utf-8")
+    argvs = {
+        ("check", "a", "a"): 0,
+        ("check", "a", "b"): 1,
+        ("check", "a", "b("): 2,
+        ("normalize", "a"): 0,
+        ("normalize", "a &"): 2,
+        ("batch", str(clean)): 0,
+        ("batch", str(bad)): 2,
+        ("batch", str(tmp_path / "missing.txt")): 2,
+        ("bench", "--family", "fig6", "--min-exp", "4", "--max-exp", "8", "--reps", "1"): 0,
+        ("bench", "--family", "fig6", "--min-exp", "8", "--max-exp", "4"): 2,
+        ("frob",): 2,
+    }
+    stream = stderr if stderr is None else _RefusingStream(stderr)
+    for argv, expected in argvs.items():
+        err = io.StringIO()
+        code, out = _main_with_stderr(list(argv), err)
+        assert code == expected, (argv, err.getvalue())
+        assert _main_with_stderr(list(argv), stream) == (code, out), argv
+
+
+# Redirections as a shell writes them, for a process started with the
+# interpreter itself: a launcher script in between would reuse descriptor 2.
+STDOUT_REDIRECTS = {"open": "", "closed": ">&-", "full": ">/dev/full"}
+STDERR_REDIRECTS = {"closed": "2>&-", "full": "2>/dev/full"}
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and shutil.which("sh")), reason="needs sh and /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_unwritable_stderr_in_a_process(unbuffered):
+    env = dict(BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else BUFFERED_ENV
+    bench = ["bench", "--family", "fig6", "--min-exp", "4", "--max-exp", "8", "--reps", "1"]
+    for argv, code, first_line in (
+        (["check", "a", "a"], 0, "equivalent"),
+        (["check", "a", "b("], 2, None),
+        (bench, 0, "# family=fig6"),
+    ):
+        for (out_name, out_redirect), (err_name, err_redirect) in itertools.product(
+            STDOUT_REDIRECTS.items(), STDERR_REDIRECTS.items()
+        ):
+            proc = subprocess.run(
+                ["sh", "-c", f'exec "$0" -m ocbsl "$@" {out_redirect} {err_redirect}', sys.executable, *argv],
+                stdout=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+            cell = (argv[0], argv[-1], out_name, err_name)
+            if out_name == "open":
+                assert proc.returncode == code, cell
+                lines = proc.stdout.splitlines()
+                assert lines[:1] == ([first_line] if first_line else []), (cell, proc.stdout)
+                assert not any(line.startswith("error:") or "fitted exponent" in line for line in lines), cell
+            else:
+                assert (proc.returncode, proc.stdout) == (2, ""), cell

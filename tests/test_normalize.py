@@ -383,10 +383,10 @@ def test_verdict_path_makes_no_call_per_node(family):
     s = Session(arena)
     _, calls = _python_calls(s.normalize, root)
     # `_run` queues children and numbers variables inline; a join costs at
-    # most one `_finish_join`, and its new class one `_join_code`
-    assert set(calls) <= {"normalize", "_check", "_run", "_finish_join", "_join_code"}, calls
-    assert calls["_join_code"] <= calls["_finish_join"] <= joins, calls
-    assert sum(calls.values()) <= 2 * joins + 3, calls
+    # most one `_finish_join`, which also numbers its new class
+    assert set(calls) <= {"normalize", "_check", "_run", "_finish_join"}, calls
+    assert calls["_finish_join"] <= joins, calls
+    assert sum(calls.values()) <= joins + 3, calls
 
 
 @pytest.mark.parametrize("family", FAMILIES)

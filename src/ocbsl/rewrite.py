@@ -50,7 +50,6 @@ __all__ = [
     "applicable_steps",
     "normal_form",
     "trace_normal_form",
-    "joinable",
     "oracle_equivalent",
 ]
 
@@ -270,11 +269,6 @@ def trace_normal_form(t, budget: int | None = None, strategy: str = "leftmost-in
 def normal_form(t, budget: int | None = None, strategy: str = "leftmost-innermost"):
     """Reduce until no rule applies; result is canonicalized."""
     return trace_normal_form(t, budget, strategy)[0]
-
-
-def joinable(t1, t2, budget: int | None = None) -> bool:
-    """Whether t1 and t2 reduce to the same canonical normal form."""
-    return normal_form(t1, budget) == normal_form(t2, budget)
 
 
 def oracle_equivalent(t1, t2) -> bool:

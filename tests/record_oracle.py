@@ -14,6 +14,15 @@ forms, traces and budget errors leaves the output byte-identical::
     PYTHONPATH=src:tests python3 tests/record_oracle.py new.jsonl
     cmp old.jsonl new.jsonl && sha256sum new.jsonl
 
+CI runs it on every Python version it tests and checks the output
+against the digest in ``tests/record_oracle.sha256``::
+
+    PYTHONPATH=src:tests python tests/record_oracle.py oracle.jsonl
+    sha256sum -c tests/record_oracle.sha256
+
+Update that file only in a change that alters the oracle's normal forms,
+traces or budget errors on purpose, and say why in the change.
+
 Inputs: every `enumerate_terms(7)` term, then 2,000 `gen.random_term`
 terms of 8-24 nodes over a, b and c (seed 5).  Terms are JSON arrays in
 the tuple shape of `ocbsl.rewrite`.  Not collected by pytest (the file

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -10,12 +11,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ocbsl.bench
-from ocbsl import parse
+from ocbsl import parse, print_formula
 from ocbsl.cli import _parser, _plain_command, main
+from gen import random_formula
 
 
 def run(capsys, *argv):
@@ -197,51 +197,62 @@ FUZZ_PIECES = (
     "a", "x1", "0", "1", "!", "&", "|", "(", ")", " ", "==", "#", "expect:", " eq", " neq",
     "\n", "\x00", "\udcff", "\f", "\ufeff",
 )
-FUZZ_FORMULAS = st.recursive(
-    st.sampled_from(["a", "b", "0", "1"]),
-    lambda sub: st.one_of(
-        sub.map("!{}".format),
-        st.tuples(sub, st.sampled_from([" & ", " | "]), sub).map(lambda t: f"({''.join(t)})"),
-    ),
-    max_leaves=6,
-)
-FUZZ_TEXTS = st.one_of(FUZZ_FORMULAS, st.lists(st.sampled_from(FUZZ_PIECES), max_size=12).map("".join))
-FUZZ_ARGS = st.one_of(FUZZ_FORMULAS, FUZZ_TEXTS, FUZZ_TEXTS.map("-".__add__))  # half of them formulas
-# Mostly commands with as many arguments as they take; None stands for the batch file.
-FUZZ_ARGVS = st.one_of(
-    st.tuples(st.just("check"), FUZZ_ARGS, FUZZ_ARGS),
-    st.tuples(st.just("normalize"), FUZZ_ARGS),
-    st.tuples(st.just("batch"), st.none()),
-    st.tuples(
-        st.sampled_from(["check", "normalize", "batch", "frob", "", "-x", "--"]), st.lists(FUZZ_ARGS, max_size=3)
-    ).map(lambda t: (t[0], *t[1])),
-)
-FUZZ_LINES = st.one_of(
-    st.tuples(FUZZ_FORMULAS, FUZZ_FORMULAS, st.sampled_from(["", " # expect: eq", " # expect: neq"])).map(
-        lambda t: f"{t[0]} == {t[1]}{t[2]}\n"
-    ),
-    st.sampled_from(FUZZ_PIECES),
-)
 
 
-@pytest.fixture(scope="module")
-def fuzz_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "pairs.txt"
+def _fuzz_formula(rng):
+    return print_formula(random_formula(rng, rng.randint(1, 6), "ab"))
 
 
-@settings(max_examples=300, derandomize=True, database=None)
-@given(argv=FUZZ_ARGVS, content=st.lists(FUZZ_LINES, max_size=6).map("".join))
-def test_cli_contract_on_random_argvs(fuzz_file, argv, content):
-    # "\udcff" in the file is the byte 0xff, so some files are not UTF-8
-    fuzz_file.write_bytes(content.encode("utf-8", "surrogateescape"))
-    argv = [str(fuzz_file) if arg is None else arg for arg in argv]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        assert main(argv) in (0, 1, 2)
-    plain = _plain_command(argv)
-    if plain is not None:  # the direct dispatch reads the argv as the parser does
-        fields = vars(_parser().parse_args(argv))
-        del fields["command"]
-        assert plain == (fields.pop("func"), fields)
+def _fuzz_text(rng):
+    if rng.random() < 0.5:
+        return _fuzz_formula(rng)
+    return "".join(rng.choices(FUZZ_PIECES, k=rng.randint(0, 12)))
+
+
+def _fuzz_arg(rng):  # half of them formulas
+    kind = rng.randrange(3)
+    if kind == 0:
+        return _fuzz_formula(rng)
+    text = _fuzz_text(rng)
+    return text if kind == 1 else "-" + text
+
+
+def _fuzz_argv(rng, batch_path):
+    """Mostly a command with as many arguments as it takes."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ["check", _fuzz_arg(rng), _fuzz_arg(rng)]
+    if kind == 1:
+        return ["normalize", _fuzz_arg(rng)]
+    if kind == 2:
+        return ["batch", batch_path]
+    command = rng.choice(["check", "normalize", "batch", "frob", "", "-x", "--"])
+    return [command, *(_fuzz_arg(rng) for _ in range(rng.randint(0, 3)))]
+
+
+def _fuzz_line(rng):
+    if rng.random() < 0.5:
+        expect = rng.choice(["", " # expect: eq", " # expect: neq"])
+        return f"{_fuzz_formula(rng)} == {_fuzz_formula(rng)}{expect}\n"
+    return rng.choice(FUZZ_PIECES)
+
+
+def test_cli_contract_on_random_argvs(tmp_path):
+    rng = random.Random(16)
+    batch_file = tmp_path / "pairs.txt"
+    for _ in range(300):
+        argv = _fuzz_argv(rng, str(batch_file))
+        content = "".join(_fuzz_line(rng) for _ in range(rng.randint(0, 6)))
+        # "\udcff" in the file is the byte 0xff, so some files are not UTF-8
+        batch_file.write_bytes(content.encode("utf-8", "surrogateescape"))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, content)
+        plain = _plain_command(argv)
+        if plain is not None:  # the direct dispatch reads the argv as the parser does
+            fields = vars(_parser().parse_args(argv))
+            del fields["command"]
+            assert plain == (fields.pop("func"), fields), argv
 
 
 def test_console_entry_point():

@@ -1,8 +1,8 @@
+import itertools
 import random
+import string
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from ocbsl import formula_nodes, print_formula, rewrite, to_internal
 from ocbsl.bench import FAMILIES, family_scale, gen_family
@@ -309,29 +309,49 @@ def _accepts(check, name) -> bool:
     return True
 
 
-@settings(max_examples=2000, derandomize=True, database=None)
-@given(
-    st.one_of(
-        st.text(),
-        st.text(st.sampled_from("aZ_09é\u00aa\u0663 -\n")),
-        st.from_regex(_NAME_RE, fullmatch=True),
-    ),
-    st.booleans(),
-)
-@example("é", False)
-@example("\u00aa", False)  # a letter to `str.isidentifier`, not ASCII
-@example("\u0663", False)  # an Arabic-Indic digit
-@example("9a", False)
-@example("", False)
-@example("a\n", False)
-@example("é", True)
-@example("a_1", True)
-def test_check_name_accepts_exactly_the_name_pattern(text, subclass):
-    name = _LyingStr(text) if subclass else text
-    expected = _NAME_RE.fullmatch(name) is not None
-    assert _accepts(_check_name, name) == expected
-    # `_tree_nodes` checks the names of a tree with its own inlined test
-    assert _accepts(_tree_nodes, ("var", name)) == expected
+# every ASCII character, and non-ASCII ones that `str.isidentifier` takes for
+# letters or digits (é, ª, µ, ·, a combining acute, ٣, Ⅰ, 𝐀) or that are no
+# name characters at all (a no-break space, a line separator)
+_NAME_TEST_CHARS = [chr(c) for c in range(128)] + list("é\u00aa\u00b5\u00b7\u0301\u0663\u2160\U0001d400\u00a0\u2028")
+_NAME_HEAD = string.ascii_letters + "_"
+_NAME_TAIL = _NAME_HEAD + string.digits
+_NAME_CASES = [
+    ("é", False),
+    ("\u00aa", False),  # a letter to `str.isidentifier`, not ASCII
+    ("\u0663", False),  # an Arabic-Indic digit
+    ("9a", False),
+    ("", False),
+    ("a\n", False),
+    ("é", True),
+    ("a_1", True),
+]
+
+
+def _long_name_texts(rng, count):
+    """Texts of 3-12 characters: names, names with one character swapped, and noise."""
+    for _ in range(count):
+        n = rng.randint(3, 12)
+        kind = rng.randrange(3)
+        if kind == 2:
+            yield "".join(rng.choices(_NAME_TEST_CHARS, k=n))
+            continue
+        chars = [rng.choice(_NAME_HEAD), *rng.choices(_NAME_TAIL, k=n - 1)]
+        if kind == 1:
+            chars[rng.randrange(n)] = rng.choice(_NAME_TEST_CHARS)
+        yield "".join(chars)
+
+
+def test_check_name_accepts_exactly_the_name_pattern():
+    # every text of up to two test characters, then longer seeded ones
+    short = ("".join(t) for k in range(3) for t in itertools.product(_NAME_TEST_CHARS, repeat=k))
+    texts = itertools.chain(short, _long_name_texts(random.Random(24), 2000))
+    cases = itertools.chain(_NAME_CASES, ((text, subclass) for text in texts for subclass in (False, True)))
+    for text, subclass in cases:
+        name = _LyingStr(text) if subclass else text
+        expected = _NAME_RE.fullmatch(name) is not None
+        assert _accepts(_check_name, name) == expected, (text, subclass)
+        # `_tree_nodes` checks the names of a tree with its own inlined test
+        assert _accepts(_tree_nodes, ("var", name)) == expected, (text, subclass)
 
 
 def test_tree_walkers_take_deep_and_wide_trees():

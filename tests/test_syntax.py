@@ -4,8 +4,6 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ocbsl import Arena, Session, syntax
 from ocbsl.syntax import (
@@ -105,21 +103,22 @@ def test_parse_error_messages_and_byte_spans(text, message, start, end):
 _PIECES = ["a", "b", "x_1", "abc_12", "0", "1", "01", "0a", *"!~&|()", " ", "\t", "\x0c", "é", "٣", "\udcff"]
 
 
-@settings(max_examples=1000, derandomize=True, database=None)
-@given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
-def test_parse_round_trips_or_spans_the_offending_bytes(text):
-    try:
-        f = parse(text)
-    except ParseError as err:
-        data = text.encode("utf-8", "surrogatepass")
-        start, end = err.span
-        assert 0 <= start <= end <= len(data)
-        spanned = data[start:end].decode("utf-8", "surrogatepass")
-        for prefix in ("bad token ", "unexpected character "):
-            if err.message.startswith(prefix):
-                assert err.message == prefix + repr(spanned)
-    else:
-        assert parse(print_formula(f)) == f
+def test_parse_round_trips_or_spans_the_offending_bytes():
+    rng = random.Random(19)
+    for _ in range(1000):
+        text = "".join(rng.choices(_PIECES, k=rng.randint(0, 12)))
+        try:
+            f = parse(text)
+        except ParseError as err:
+            data = text.encode("utf-8", "surrogatepass")
+            start, end = err.span
+            assert 0 <= start <= end <= len(data), (text, err)
+            spanned = data[start:end].decode("utf-8", "surrogatepass")
+            for prefix in ("bad token ", "unexpected character "):
+                if err.message.startswith(prefix):
+                    assert err.message == prefix + repr(spanned), (text, err)
+        else:
+            assert parse(print_formula(f)) == f, text
 
 
 def _outcome(text):
@@ -144,15 +143,12 @@ _ANY_CHAR = [chr(c) for c in range(128)] + ["\x85", "\xa0", "\u2028", "é", "٣"
 _PLAIN_PIECES = ["a", "b", "x_1", "abc_12", "0", "1", "01", "0a", *"!~&|()", " ", "\t", "\r", "\n"]
 
 
-@settings(max_examples=1500, derandomize=True, database=None)
-@given(
-    st.one_of(
-        st.lists(st.sampled_from(_PLAIN_PIECES), max_size=16),  # the `str.split` cut
-        st.lists(st.sampled_from(_PLAIN_PIECES * 4 + _ANY_CHAR), max_size=16),  # mostly the `findall` one
-    ).map("".join)
-)
-def test_split_cut_parses_as_findall_does(text):
-    assert _outcome(text) == _outcome_by_findall(text)
+def test_split_cut_parses_as_findall_does():
+    rng = random.Random(21)
+    # half for the `str.split` cut, half mostly for the `findall` one
+    for pieces in (_PLAIN_PIECES, _PLAIN_PIECES * 4 + _ANY_CHAR) * 750:
+        text = "".join(rng.choices(pieces, k=rng.randint(0, 16)))
+        assert _outcome(text) == _outcome_by_findall(text), text
 
 
 @pytest.mark.parametrize("ch", _SPLIT_ONLY_WHITESPACE)

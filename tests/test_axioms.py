@@ -1,14 +1,16 @@
 """The laws of the theory, checked on surface formulas.
 
-An orthocomplemented bisemilattice is an ortholattice without absorption:
-`|` and `&` are commutative, associative and idempotent, `0` and `1` bound
-both, and `!` is an involution that swaps them by de Morgan's laws and
-complements every element.  The laws below are that standard definition,
-with `&` a primitive of its own, and not the rule list the checker and the
-rewrite oracle were both written from (A2-A11 in `rewrite`): a law the
-list misses fails here although the engine and the oracle agree.
-Absorption and distributivity do not hold; `test_normalize`'s
-`test_absorption_and_distributivity_do_not_hold` checks that side.
+An orthocomplemented bisemilattice satisfies the laws of an ortholattice
+except absorption: `|` and `&` are commutative, associative and
+idempotent, `0` and `1` bound both, and `!` is an involution that swaps
+them by de Morgan's laws and complements every element.  The laws below
+state that usual definition, with `&` a primitive of its own; the paper's
+text is not in the repository, so they do not follow its numbering.  They
+are not the rule list that the checker and the rewrite oracle were both
+written from (A2-A11 in `rewrite`), so a law the list misses fails here
+although the engine and the oracle agree.  Absorption and distributivity
+do not hold; `test_normalize`'s `test_absorption_and_distributivity_do_not_hold`
+checks that side.
 
 Each law is a pair of templates over the metavariables x, y and z.  It is
 checked instantiated with random formulas inside a random one-hole
@@ -31,9 +33,9 @@ LAWS = {
     "| idempotent": (Or((x, x)), x),
     "& idempotent": (And((x, x)), x),
     "0 unit of |": (Or((x, ZERO)), x),
-    "1 absorbs |": (Or((x, ONE)), ONE),
+    "1 annihilates |": (Or((x, ONE)), ONE),
     "1 unit of &": (And((x, ONE)), x),
-    "0 absorbs &": (And((x, ZERO)), ZERO),
+    "0 annihilates &": (And((x, ZERO)), ZERO),
     "involution": (Not(Not(x)), x),
     "de Morgan for |": (Not(Or((x, y))), And((Not(x), Not(y)))),
     "de Morgan for &": (Not(And((x, y))), Or((Not(x), Not(y)))),

@@ -1,6 +1,6 @@
 """Benchmark families and the scaling harness.
 
-Three formula families stress the normalizer's cost profile:
+Five formula families stress the normalizer's cost profile:
 
 * fig6 -- a right-nested disjunction chain ``x1 | (x2 | (... | x_{n+2}))``.
   Every join except the innermost has a nested join child, so an engine
@@ -18,8 +18,17 @@ Three formula families stress the normalizer's cost profile:
   join is irreducible.  A check that scans the child list once per
   negated child is quadratic.
 
-fig6 and fig7 normalize to the flat join of their x-variables; a9
-normalizes to itself.
+* and-chain -- a right-nested conjunction chain ``x1 & (x2 & (... &
+  x_{n+2}))``.  De Morgan interns ``a & B`` as ``!(!a | !B)``, so each
+  nested conjunction is a join under a double negation: an engine that
+  splices only bare joins codes each level and re-merges its members.
+
+* neg-tower -- explicit double negations over conjunctions, ``H_0 = x0``
+  and ``H_k = !!(x_k & H_{k-1})``: a tower of four negations over each
+  nested join.
+
+fig6 and fig7 normalize to the flat join of their x-variables, and-chain
+and neg-tower to the conjunction of theirs; a9 normalizes to itself.
 
 `run_bench` times the full pipeline (translate, intern, normalize) per
 size and fits a slope to the log-log (size, median time) points; slope
@@ -34,13 +43,13 @@ from collections import namedtuple
 
 from .dag import Arena
 from .normalize import Session, Stats
-from .syntax import Formula, Not, Or, Var, formula_nodes, to_internal
+from .syntax import And, Formula, Not, Or, Var, formula_nodes, to_internal
 
 __all__ = [
     "FAMILIES", "MAX_EXP", "gen_family", "family_scale", "BenchReport", "run_bench", "fit_exponent", "report_tsv"
 ]
 
-FAMILIES = ("fig6", "fig7", "a9")
+FAMILIES = ("fig6", "fig7", "a9", "and-chain", "neg-tower")
 MAX_EXP = 20  # largest size exponent `run_bench` takes: 2^20 nodes is desk scale
 
 
@@ -70,6 +79,18 @@ def gen_family(family: str, n: int) -> Formula:
             a = Var(f"a{i}")
             kids += [a, Not(Or((a, Var(f"b{i}"))))]
         return Or(tuple(kids))
+    if family == "and-chain":
+        # x1 & (x2 & (... & (x_{n+1} & x_{n+2})))
+        f = And((Var(f"x{n + 1}"), Var(f"x{n + 2}")))
+        for i in range(n, 0, -1):
+            f = And((Var(f"x{i}"), f))
+        return f
+    if family == "neg-tower":
+        # H_n = !!(x_n & !!(x_{n-1} & ... !!(x1 & x0)))
+        f = Var("x0")
+        for i in range(1, n + 1):
+            f = Not(Not(And((Var(f"x{i}"), f))))
+        return f
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -81,6 +102,10 @@ def family_scale(family: str, target_nodes: int) -> int:
         return max(1, (target_nodes - 3) // 10)  # nodes = 10n + 3
     if family == "a9":
         return max(1, (target_nodes - 1) // 5)  # nodes = 5n + 1
+    if family == "and-chain":
+        return max(1, (target_nodes - 3) // 2)  # nodes = 2n + 3
+    if family == "neg-tower":
+        return max(1, (target_nodes - 1) // 4)  # nodes = 4n + 1
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -20,21 +20,24 @@ holds the negations waiting for their child's code and the join frames
 (plain tuples) being filled.  It is iterative throughout (no Python
 recursion, so chain-shaped inputs of any depth are fine):
 
-* join children are deduplicated by handle and syntactically nested joins
-  are spliced in before any child is normalized, so static nesting costs
-  one visit per node;
-* each join frame queues its children by expanded tree size and
-  normalizes the smallest first, deferring the largest; when everything
-  else of a join reduces to 0 the join is replaced by its last child
-  *structurally* (never coded), a double negation at the seam is stripped
-  and a revealed join is spliced into the enclosing frame.  This keeps
-  dynamically revealed nesting out of the coded cascade: the work wasted
-  on a mis-ordered child is bounded by half the subtree, giving a
-  quasilinear total in n, the size of the *expanded tree*.  It is not
-  quasilinear in DAG size: a nested join shared by k parents is spliced
-  and merged again under each of them;
-* a child that already has a code and names a join class is merged by
-  splicing its (already sorted) member codes.
+* join children are deduplicated by handle, and nested joins are spliced
+  in before any child is normalized, also from under a tower of double
+  negations (de Morgan interns ``a & B`` as ``!(!a | !B)``, so a nested
+  conjunction is a join under ``!!``): static nesting costs one visit
+  per node;
+* a child that needs no frame is coded where it is queued, in stored
+  order: a leaf, a coded term, or the negation of either.  A code naming
+  a join class is kept apart and merged by its (sorted) member codes
+  when the join finishes;
+* the negated joins left are normalized smallest expanded tree first,
+  deferring the largest; when everything else of a join reduces to 0 the
+  join is replaced by its last child *structurally* (never coded), a
+  double negation at the seam is stripped and the seam is queued in the
+  enclosing frame.  This keeps dynamically revealed nesting out of the
+  coded cascade: the work wasted on a mis-ordered child is bounded by
+  half the subtree, giving a quasilinear total in n, the size of the
+  *expanded tree*.  It is not quasilinear in DAG size: a nested join
+  shared by k parents is spliced and merged again under each of them.
 
 Complement detection happens on the set of a join's m merged codes: a
 pair (2k, 2k+1) shares the class number k, and a negated join class
@@ -83,16 +86,16 @@ class Stats:
     FIELDS = (
         "a2_flattens",  # nested join spliced into its parent
         "a2b_collapses",  # single-child join replaced by that child
-        "a3_dedups",  # duplicate child dropped
+        "a3_dedups",  # duplicate child dropped: a ref queued again, or a code merged again
         "a4_hits",  # join annihilated by a child equal to 1
         "a5_drops",  # child equal to 0 dropped
-        "a6_strips",  # double negation removed
+        "a6_strips",  # double negation removed: from a resolved term, a queued child or a seam
         "a7_hits",  # join annihilated by a complement pair
         "a9_hits",  # join annihilated by a negated sub-join
         "a10_hits",  # !0 -> 1
         "a11_hits",  # !1 -> 0
-        "nodes_visited",
-        "memo_hits",
+        "nodes_visited",  # node opened or coded, when resolved or where it is queued
+        "memo_hits",  # node found coded, when resolved or where it (or its negation) is queued
         "codes_allocated",  # plain/negated pairs
         "merge_work",  # child codes merged, before deduplication
         "a9_probe_work",  # member codes probed by the A9 check
@@ -123,8 +126,9 @@ class Session:
     Codes are meaningless outside their session.  A session is
     single-writer; independent sessions may run in parallel.
 
-    Each join's children, with nested joins spliced in place, are
-    normalized smallest expanded tree first, ties in stored order.
+    Each join's negated-join children, with nested joins spliced in place,
+    are normalized smallest expanded tree first, ties in stored order; its
+    other children are coded as they are queued, in stored order.
     size_scheduling=False disables that order and the structural collapse
     of all-but-one-zero joins (children are then taken in stored order and
     every join is coded).  Verdicts are unchanged; only the cost profile
@@ -216,18 +220,20 @@ class Session:
 
     # -- the fused pass ----------------------------------------------------------
 
-    # A join frame is a tuple (node, acc, todo, seen): the join's ref, the
-    # nonzero codes of finished children, the children still queued and the
-    # refs received.  `todo` is sorted by tree size, largest first, so
-    # `pop()` takes the smallest child.  One block queues children: it takes
-    # `incoming`, the refs handed to the top frame, splices the joins not
-    # coded yet (iteratively, so a chain does not recurse), drops the refs
-    # already in `seen` and sorts the rest once, stably.  A frame receives
-    # its join's children when it opens, and later perhaps the seam of a
-    # collapsed child.  A seam is a proper subterm of a child popped as the
-    # smallest, so it is smaller than everything still queued and appending
-    # it keeps the order, except among sizes saturated at SIZE_CAP, whose
-    # order is lost anyway (see `dag.SIZE_CAP`).
+    # A join frame is a tuple (node, acc, joins, todo, seen): the join's
+    # ref, the nonzero codes of finished children, those of them that name
+    # join classes, the negated joins still queued and the refs received.
+    # `todo` is sorted by tree size, largest first, so `pop()` takes the
+    # smallest child.  One block queues children: it takes `incoming`, the
+    # refs handed to the top frame, drops the refs already in `seen`,
+    # strips double negations and splices joins (iteratively, so a chain
+    # does not recurse) while no code is known, codes every child that needs
+    # no frame and sorts the negated joins left once, stably.  A frame
+    # receives its join's children when it opens, and later perhaps the
+    # seam of a collapsed child.  A seam is a proper subterm of a child
+    # popped as the smallest, so it is smaller than everything still queued
+    # and appending it keeps the order, except among sizes saturated at
+    # SIZE_CAP, whose order is lost anyway (see `dag.SIZE_CAP`).
     #
     # The pass reads the arena's payloads directly rather than through the
     # checked accessors: `normalize` checks the root, and every other ref
@@ -244,7 +250,8 @@ class Session:
         current = root  # term waiting to be resolved
         incoming = None  # refs to queue in the top frame
         # added to self.stats at the end
-        visited = memo = flattens = drops = strips = collapses = a10 = a11 = dedups = allocated = 0
+        visited = memo = flattens = drops = strips = collapses = a10 = a11 = dedups = 0
+        numbered = len(classes)  # classes numbered before this pass
         try:
             while True:
                 # Resolve `current` into a code, or push a frame for it.
@@ -263,21 +270,20 @@ class Session:
                             current = p
                         continue
                     if type(p) is tuple:  # a join
-                        stack.append((current, [], [], set()))
+                        stack.append((current, [], [], [], set()))
                         incoming = p
                     else:  # a leaf: a constant, or a variable met for the first time
                         code = codes.get(p)
                         if code is None:  # a new class keyed by the name, as in `_finish_join`
                             code = 2 * len(classes)
                             classes.append(p)
-                            allocated += 1
                         node_codes[current] = code
 
                 # Deliver codes and advance join frames until a term needs resolving.
                 current = None
                 while current is None:
                     if incoming:
-                        _, _, todo, seen = stack[-1]
+                        _, acc, joins, todo, seen = stack[-1]
                         batch: list[int] = []
                         work = list(reversed(incoming))
                         incoming = None
@@ -287,12 +293,52 @@ class Session:
                                 dedups += 1
                                 continue
                             seen.add(r)
-                            p = payload[r]
-                            if type(p) is tuple and node_codes[r] is None:  # a join not coded yet
-                                flattens += 1
-                                work.extend(reversed(p))
-                            else:
-                                batch.append(r)
+                            c = node_codes[r]
+                            if c is not None:
+                                memo += 1
+                            else:  # resolved here unless it is a negated join
+                                p = payload[r]
+                                if type(p) is tuple:  # a join not coded yet
+                                    flattens += 1
+                                    work.extend(reversed(p))
+                                    continue
+                                if type(p) is int:  # a negation
+                                    c = node_codes[p]
+                                    if c is None:
+                                        q = payload[p]
+                                        if type(q) is int:  # a double negation: strip it
+                                            strips += 1
+                                            work.append(q)
+                                            continue
+                                        if type(q) is tuple:  # of a join not coded yet: it needs a frame
+                                            batch.append(r)
+                                            continue
+                                        visited += 1  # the leaf p
+                                        c = codes.get(q)
+                                        if c is None:
+                                            c = 2 * len(classes)
+                                            classes.append(q)
+                                        node_codes[p] = c
+                                    else:
+                                        memo += 1
+                                    if c == ZERO_CODE:
+                                        a10 += 1
+                                    elif c == ONE_CODE:
+                                        a11 += 1
+                                    c ^= 1
+                                else:  # a leaf
+                                    c = codes.get(p)
+                                    if c is None:
+                                        c = 2 * len(classes)
+                                        classes.append(p)
+                                visited += 1
+                                node_codes[r] = c
+                            if c == ZERO_CODE:
+                                drops += 1
+                            elif c & 1 or type(classes[c >> 1]) is not tuple:
+                                acc.append(c)
+                            else:  # a join class: its members are merged apart
+                                joins.append(c)
                         if scheduling:
                             batch.sort(key=sizes.__getitem__)
                         batch.reverse()
@@ -312,15 +358,17 @@ class Session:
                             continue
                         if code == ZERO_CODE:
                             drops += 1
-                        else:
+                        elif code & 1 or type(classes[code >> 1]) is not tuple:
                             top[1].append(code)
+                        else:
+                            top[2].append(code)
                         code = None
-                    node, acc, todo, _ = stack[-1]
+                    node, acc, joins, todo, _ = stack[-1]
                     if not todo:
-                        code = finish_join(acc)
+                        code = finish_join(acc, joins)
                         node_codes[node] = code
                         stack.pop()
-                    elif scheduling and not acc and len(todo) == 1:
+                    elif scheduling and not acc and not joins and len(todo) == 1:
                         # Everything processed so far vanished: the join *is*
                         # its one remaining (largest) child.  Hand the child up
                         # structurally instead of coding this join.  A
@@ -336,9 +384,6 @@ class Session:
                         if not stack or type(stack[-1]) is int:
                             current = seam  # resolved in place, under the negation if one is left
                         else:
-                            while type(payload[seam]) is int and type(payload[payload[seam]]) is int:
-                                strips += 1  # a double negation
-                                seam = payload[payload[seam]]
                             incoming = (seam,)  # queued in the enclosing frame
                     else:
                         current = todo.pop()
@@ -353,29 +398,26 @@ class Session:
             stats.a10_hits += a10
             stats.a11_hits += a11
             stats.a3_dedups += dedups
-            stats.codes_allocated += allocated
+            stats.codes_allocated += len(classes) - numbered
 
-    def _finish_join(self, acc: list[int]) -> int:
-        """Code of a join whose children have the nonzero codes `acc`.
+    def _finish_join(self, acc: list[int], joins: list[int]) -> int:
+        """Code of a join whose children have the nonzero codes `acc` and `joins`.
 
-        Merges the members of child join classes, deduplicates, and
-        checks for annihilation (A4, A7, A9) before looking up or
-        allocating the class of the remaining codes.
+        `joins` holds the children that name join classes: their members
+        are merged in.  Deduplicates, and checks for annihilation (A4, A7,
+        A9) before looking up or allocating the class of the remaining
+        codes.  Takes `acc` over as the list of merged codes.
         """
         stats = self.stats
         if ONE_CODE in acc:
             stats.a4_hits += 1
             return ONE_CODE
         classes = self._classes
-        flat: list[int] = []
-        for c in acc:
-            members = classes[c >> 1]
-            if c & 1 or type(members) is not tuple:
-                flat.append(c)
-            else:
-                # the child's class is a join: merge its members instead
-                stats.a2_flattens += 1
-                flat.extend(members)
+        flat = acc
+        if joins:
+            stats.a2_flattens += len(joins)
+            for c in joins:
+                flat += classes[c >> 1]
         stats.merge_work += len(flat)
         present = set(flat)
         stats.a3_dedups += len(flat) - len(present)
@@ -406,5 +448,4 @@ class Session:
         if code is None:
             code = self._codes[codes] = 2 * len(classes)
             classes.append(codes)
-            stats.codes_allocated += 1
         return code

@@ -2,6 +2,7 @@ import pytest
 
 from ocbsl import Arena, Session, parse, print_formula, rewrite, semantics, to_internal
 from ocbsl.bench import (
+    FAMILIES,
     family_scale,
     fit_exponent,
     gen_family,
@@ -58,8 +59,35 @@ def test_a9_is_irreducible_and_every_a_counts():
             assert not semantics.boolean_equivalent(arena, ref, dropped)
 
 
+def test_and_chain_and_neg_tower_smallest_instances():
+    assert print_formula(gen_family("and-chain", 1)) == "x1 & (x2 & x3)"
+    assert print_formula(gen_family("neg-tower", 1)) == "!!(x1 & x0)"
+
+
+@pytest.mark.parametrize("family, first", [("and-chain", 1), ("neg-tower", 0)])
+def test_conjunction_families_normalize_to_flat_conjunction(family, first):
+    # each instance is the flat conjunction of its variables, and dropping
+    # any one of them changes the class, in the session, the rewrite
+    # oracle and semantics
+    for n in range(1, 5):
+        arena = Arena()
+        s = Session(arena)
+        ref = to_internal(gen_family(family, n), arena)
+        names = [f"x{i}" for i in range(first, first + n + (2 if family == "and-chain" else 1))]
+        flat = to_internal(parse(" & ".join(names)), arena)
+        assert s.normalize(ref) == s.normalize(flat)
+        tree = arena.export_tree(ref)
+        assert rewrite.normal_form(tree) == rewrite.normal_form(arena.export_tree(flat))
+        assert semantics.boolean_equivalent(arena, ref, flat)
+        for k in range(len(names)):
+            short = to_internal(parse(" & ".join(names[:k] + names[k + 1 :])), arena)
+            assert s.normalize(short) != s.normalize(ref)
+            assert not rewrite.oracle_equivalent(tree, arena.export_tree(short))
+            assert not semantics.boolean_equivalent(arena, ref, short)
+
+
 def test_family_scale_hits_target():
-    for family in ("fig6", "fig7", "a9"):
+    for family in FAMILIES:
         for target in (64, 1024, 65536):
             n = family_scale(family, target)
             got = formula_nodes(gen_family(family, n))

@@ -41,18 +41,7 @@ from __future__ import annotations
 import re
 import reprlib
 
-__all__ = [
-    "Arena",
-    "VAR",
-    "ZERO",
-    "ONE",
-    "NEG",
-    "JOIN",
-    "SIZE_CAP",
-    "print_term",
-]
-
-VAR, ZERO, ONE, NEG, JOIN = range(5)
+__all__ = ["Arena", "SIZE_CAP", "print_term"]
 
 # Underlying-tree sizes saturate here instead of growing without bound.
 # Only a DAG built with the builders (`var`, `neg`, `join`) can reach the
@@ -168,32 +157,6 @@ class Arena:
         # exactly int: a bool is an int too, and True would pass for ref 1
         if not (type(ref) is int and 0 <= ref < len(self._payload)):
             raise ValueError(f"ref {ref!r} does not belong to this arena")
-
-    # -- node accessors ----------------------------------------------------
-
-    def kind(self, ref: int) -> int:
-        self._check(ref)
-        p = self._payload[ref]
-        if type(p) is int:  # a negation
-            return NEG
-        if type(p) is tuple:  # a join
-            return JOIN
-        return ZERO if p == "0" else ONE if p == "1" else VAR  # a leaf: its text
-
-    def var_name(self, ref: int) -> str:
-        if self.kind(ref) != VAR:
-            raise ValueError("not a variable node")
-        return self._payload[ref]
-
-    def neg_child(self, ref: int) -> int:
-        if self.kind(ref) != NEG:
-            raise ValueError("not a negation node")
-        return self._payload[ref]
-
-    def join_children(self, ref: int) -> tuple[int, ...]:
-        if self.kind(ref) != JOIN:
-            raise ValueError("not a join node")
-        return self._payload[ref]
 
     # -- traversal and measures --------------------------------------------
 

@@ -15,10 +15,10 @@ variable's leaf is the one node with its name, and a miss gives it a new
 class without recording the name.  A node's code is memoized in a list
 indexed by its ref (refs are dense).
 
-The traversal is a single fused pass: one loop over one stack, which
-holds the negations waiting for their child's code and the join frames
-(plain tuples) being filled.  It is iterative throughout (no Python
-recursion, so chain-shaped inputs of any depth are fine):
+The traversal is a single fused pass: one loop over one stack of the
+join frames (plain tuples) being filled, each holding the negation that
+opened it, if one did.  It is iterative throughout (no Python recursion,
+so chain-shaped inputs of any depth are fine):
 
 * join children are deduplicated by handle, and nested joins are spliced
   in before any child is normalized, also from under a tower of double
@@ -52,8 +52,6 @@ unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from .dag import Arena
 
 __all__ = ["Session", "Stats", "neg_of", "ZERO_CODE", "ONE_CODE"]
@@ -78,9 +76,8 @@ class Stats:
     dataclass, so that importing the package never loads `dataclasses`,
     and no ``__slots__``, since callers read the counters with `vars()`.
     `vars()` and the repr list the counters in the order of `FIELDS`;
-    construction takes any of them by keyword, the rest are 0.  Equality
-    is that of `vars()`, so a `Stats` also equals a `SimpleNamespace` with
-    the same fields.
+    construction takes any of them by keyword, the rest are 0.  Two
+    `Stats` are equal when their counters are.
     """
 
     FIELDS = (
@@ -109,7 +106,7 @@ class Stats:
             raise TypeError(f"Stats() got an unexpected keyword argument {next(iter(counts))!r}")
 
     def __eq__(self, other):
-        if not isinstance(other, (Stats, SimpleNamespace)):
+        if not isinstance(other, Stats):
             return NotImplemented
         return vars(self) == vars(other)
 
@@ -220,9 +217,13 @@ class Session:
 
     # -- the fused pass ----------------------------------------------------------
 
-    # A join frame is a tuple (node, acc, joins, todo, seen): the join's
-    # ref, the nonzero codes of finished children, those of them that name
-    # join classes, the negated joins still queued and the refs received.
+    # The stack holds join frames only.  A frame is a tuple (node, neg, acc,
+    # joins, todo, seen): the join's ref, the negation of it being resolved
+    # (or None), the nonzero codes of finished children, those of them that
+    # name join classes, the negated joins still queued and the refs
+    # received.  As `todo` holds only negated joins, only the root's frame,
+    # or that of a seam resolved at the root, has neg None.  A finished
+    # frame's code is negated on delivery, like any code under a negation.
     # `todo` is sorted by tree size, largest first, so `pop()` takes the
     # smallest child.  One block queues children: it takes `incoming`, the
     # refs handed to the top frame, drops the refs already in `seen`,
@@ -235,9 +236,8 @@ class Session:
     # and appending it keeps the order, except among sizes saturated at
     # SIZE_CAP, whose order is lost anyway (see `dag.SIZE_CAP`).
     #
-    # The pass reads the arena's payloads directly rather than through the
-    # checked accessors: `normalize` checks the root, and every other ref
-    # the pass meets is a descendant of it.
+    # The pass reads the arena's payloads without checking refs: `normalize`
+    # checks the root, and every other ref the pass meets descends from it.
 
     def _run(self, root: int) -> int:
         payload = self.arena._payload
@@ -246,8 +246,9 @@ class Session:
         codes, classes = self._codes, self._classes
         finish_join = self._finish_join
         scheduling = self.size_scheduling
-        stack: list = []  # negation refs awaiting their child's code, and join frames
+        stack: list = []  # join frames
         current = root  # term waiting to be resolved
+        neg = None  # the negation of `current`, or of the term `code` belongs to
         incoming = None  # refs to queue in the top frame
         # added to self.stats at the end
         visited = memo = flattens = drops = strips = collapses = a10 = a11 = dedups = 0
@@ -266,11 +267,12 @@ class Session:
                             strips += 1
                             current = payload[p]
                         else:
-                            stack.append(current)
+                            neg = current
                             current = p
                         continue
                     if type(p) is tuple:  # a join
-                        stack.append((current, [], [], [], set()))
+                        stack.append((current, neg, [], [], [], set()))
+                        neg = None
                         incoming = p
                     else:  # a leaf: a constant, or a variable met for the first time
                         code = codes.get(p)
@@ -282,8 +284,20 @@ class Session:
                 # Deliver codes and advance join frames until a term needs resolving.
                 current = None
                 while current is None:
+                    if code is not None:
+                        if neg is not None:
+                            if code == ZERO_CODE:
+                                a10 += 1
+                            elif code == ONE_CODE:
+                                a11 += 1
+                            code ^= 1
+                            node_codes[neg] = code
+                            neg = None
+                        if not stack:
+                            node_codes[root] = code
+                            return code
+                    node, frame_neg, acc, joins, todo, seen = stack[-1]
                     if incoming:
-                        _, acc, joins, todo, seen = stack[-1]
                         batch: list[int] = []
                         work = list(reversed(incoming))
                         incoming = None
@@ -344,47 +358,33 @@ class Session:
                         batch.reverse()
                         todo += batch
                     elif code is not None:
-                        if not stack:
-                            node_codes[root] = code
-                            return code
-                        top = stack[-1]
-                        if type(top) is int:  # a negation
-                            if code == ZERO_CODE:
-                                a10 += 1
-                            elif code == ONE_CODE:
-                                a11 += 1
-                            code ^= 1
-                            node_codes[stack.pop()] = code
-                            continue
                         if code == ZERO_CODE:
                             drops += 1
                         elif code & 1 or type(classes[code >> 1]) is not tuple:
-                            top[1].append(code)
+                            acc.append(code)
                         else:
-                            top[2].append(code)
+                            joins.append(code)
                         code = None
-                    node, acc, joins, todo, _ = stack[-1]
                     if not todo:
                         code = finish_join(acc, joins)
                         node_codes[node] = code
+                        neg = frame_neg  # delivered with its code, negated if set
                         stack.pop()
                     elif scheduling and not acc and not joins and len(todo) == 1:
                         # Everything processed so far vanished: the join *is*
-                        # its one remaining (largest) child.  Hand the child up
-                        # structurally instead of coding this join.  A
-                        # negation's child is never a negation, so the seam
-                        # climbs past at most one negation.
+                        # its one remaining (largest) child, a negated join.
+                        # Hand the child up structurally instead of coding this
+                        # join: the frame's own negation cancels the child's.
                         collapses += 1
                         seam = todo[0]
                         stack.pop()
-                        if stack and type(stack[-1]) is int and type(payload[seam]) is int:
+                        if frame_neg is not None:
                             strips += 1
                             seam = payload[seam]
-                            stack.pop()
-                        if not stack or type(stack[-1]) is int:
-                            current = seam  # resolved in place, under the negation if one is left
-                        else:
+                        if stack:
                             incoming = (seam,)  # queued in the enclosing frame
+                        else:
+                            current = seam  # resolved in place
                     else:
                         current = todo.pop()
         finally:

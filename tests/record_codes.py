@@ -3,7 +3,7 @@
     PYTHONPATH=src:tests python3 tests/record_codes.py OUT
 
 Writes one JSON line per input formula: the ref `to_internal` returned,
-its `Arena.kind`, `len(arena)` after interning, the code, the join members
+its kind (see `KINDS`), `len(arena)` after interning, the code, the join members
 of that code, every `Stats` field, the printed normal form, the ref
 `extract_normal_form` returned, its kind and `len(arena)` after it, and the
 input's `formula_nodes` and `print_formula`.  Rows of the random pairs
@@ -27,8 +27,8 @@ Inputs, each run with size_scheduling True and then False:
   shared session.  A g row in a fresh session records whether g is
   Boolean-equal to its f; an f row in the shared session, whether f is
   Boolean-equal to the g before it, so both answers occur;
-* the bench families fig6, fig7 and a9 at 2^4..2^12 surface nodes, each
-  in a fresh session.
+* every bench family (`bench.FAMILIES`) at 2^4..2^12 surface nodes,
+  each in a fresh session.
 
 A parse section follows.  For every input formula above (once, not per
 scheduling mode), ``parse(print_formula(f))`` is interned into a fresh
@@ -38,7 +38,7 @@ operators ``!~&|()``, spaces, tabs, a form feed, ``é``, ``٣`` and a lone
 surrogate are parsed; each row holds the parsed `print_formula` or the
 `ParseError` message and span.
 
-It takes about a minute and writes 756,621 lines.  Not collected by
+It takes about a minute and writes 756,675 lines.  Not collected by
 pytest (the file name does not start with ``test_``).
 
 CI runs it and checks the output against the digest in
@@ -59,13 +59,15 @@ import random
 import sys
 
 from ocbsl import Arena, ParseError, Session, formula_nodes, parse, print_formula, print_term, semantics, to_internal
-from ocbsl.bench import family_scale, gen_family
+from ocbsl.bench import FAMILIES, family_scale, gen_family
 from enum_terms import enumerate_terms
 from gen import disturbed, random_formula
 
 PAIRS = 20_000
 SEED = 7
 TEXTS = 100_000
+# a node's kind, numbered by the head of its `Arena.export_tree` form
+KINDS = {"var": 0, "0": 1, "1": 2, "not": 3, "or": 4}
 # pieces of the random parser inputs; "\udcff" is a lone surrogate
 PIECES = ["a", "b", "x_1", "abc_12", "0", "1", "01", "0a", *"!~&|()", " ", "\t", "\x0c", "é", "٣", "\udcff"]
 
@@ -81,14 +83,14 @@ def record(out, label: str, session: Session, formula, against: int | None = Non
     row = {
         "in": label,
         "ref": ref,
-        "kind": arena.kind(ref),
+        "kind": KINDS[arena.export_tree(ref)[0]],
         "nodes": nodes,
         "code": code,
         "members": members,
         "stats": vars(session.stats),
         "nf": print_term(arena, nf_ref),
         "nf_ref": nf_ref,
-        "nf_kind": arena.kind(nf_ref),
+        "nf_kind": KINDS[arena.export_tree(nf_ref)[0]],
         "nodes_after_nf": len(arena),
         "size": formula_nodes(formula),
         "text": print_formula(formula),
@@ -152,7 +154,7 @@ def main(path: str) -> None:
             for i, (f, g) in enumerate(pairs):
                 record(out, f"{tag}/pair/shared/{i}/f", shared, f, against=ref_g)
                 ref_g = record(out, f"{tag}/pair/shared/{i}/g", shared, g)
-            for family in ("fig6", "fig7", "a9"):
+            for family in FAMILIES:
                 for e in range(4, 13):
                     f = gen_family(family, family_scale(family, 2**e))
                     record(out, f"{tag}/{family}/{e}", fresh(scheduling), f)
@@ -161,7 +163,7 @@ def main(path: str) -> None:
         for i, (f, g) in enumerate(pairs):
             record_parse(out, f"parse/pair/{i}/f", f)
             record_parse(out, f"parse/pair/{i}/g", g)
-        for family in ("fig6", "fig7", "a9"):
+        for family in FAMILIES:
             for e in range(4, 13):
                 record_parse(out, f"parse/{family}/{e}", gen_family(family, family_scale(family, 2**e)))
         for i, text in enumerate(random_texts()):

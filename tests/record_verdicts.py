@@ -37,7 +37,7 @@ import sys
 
 from ocbsl import Session, rewrite, to_internal
 from record_codes import fresh, random_pairs
-from ocbsl.bench import family_scale, gen_family
+from ocbsl.bench import FAMILIES, family_scale, gen_family
 from enum_terms import enumerate_terms
 
 
@@ -76,7 +76,7 @@ def main(path: str) -> None:
             for i, (f, g) in enumerate(pairs):
                 ref_f = record(out, f"{tag}/pair/shared/{i}/f", shared, f, partner=ref_g)
                 ref_g = record(out, f"{tag}/pair/shared/{i}/g", shared, g, partner=ref_f)
-            for family in ("fig6", "fig7", "a9"):
+            for family in FAMILIES:
                 for e in range(4, 13):
                     f = gen_family(family, family_scale(family, 2**e))
                     record(out, f"{tag}/{family}/{e}", fresh(scheduling), f)

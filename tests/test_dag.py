@@ -6,7 +6,7 @@ import pytest
 
 from ocbsl import formula_nodes, print_formula, rewrite, to_internal
 from ocbsl.bench import FAMILIES, family_scale, gen_family
-from ocbsl.dag import _NAME_RE, JOIN, NEG, ONE, SIZE_CAP, VAR, ZERO, Arena, _check_name, _tree_nodes, print_term
+from ocbsl.dag import _NAME_RE, SIZE_CAP, Arena, _check_name, _tree_nodes, print_term
 from enum_terms import enumerate_terms
 from gen import random_formula
 
@@ -36,15 +36,10 @@ def test_kind_and_accessors_of_each_builder():
     # the kind is read from the payload: "0" and "1" are constants, not names
     arena = Arena()
     a = arena.var("a")
-    refs = {ZERO: arena.zero(), ONE: arena.one(), VAR: a, NEG: arena.neg(a), JOIN: arena.join((a, a))}
-    assert {kind: arena.kind(ref) for kind, ref in refs.items()} == {kind: kind for kind in refs}
-    accessors = {VAR: (arena.var_name, "a"), NEG: (arena.neg_child, a), JOIN: (arena.join_children, (a, a))}
-    for kind, (accessor, payload) in accessors.items():
-        assert accessor(refs[kind]) == payload
-        for other, ref in refs.items():
-            if other != kind:
-                with pytest.raises(ValueError):
-                    accessor(ref)
+    refs = [arena.zero(), arena.one(), a, arena.neg(a), arena.join((a, a))]
+    assert [arena._payload[ref] for ref in refs] == ["0", "1", "a", a, (a, a)]
+    va = ("var", "a")
+    assert [arena.export_tree(ref) for ref in refs] == [("0",), ("1",), va, ("not", va), ("or", (va, va))]
 
 
 def test_ref_validation():
@@ -65,10 +60,6 @@ def test_ref_validation():
         lambda r: arena.join((r,)),
         lambda r: print_term(arena, r),
         arena.tree_size,
-        arena.kind,
-        arena.var_name,
-        arena.neg_child,
-        arena.join_children,
     )
     # -1 would index from the end; a bool is an int, but never a ref: True
     # would otherwise stand for ref 1
@@ -105,13 +96,8 @@ def test_reverse_topological_order_property():
     assert len(order) == len(set(order)) == len(arena)
     pos = {n: i for i, n in enumerate(order)}
     for n in order:
-        kind = arena.kind(n)
-        children = ()
-        if kind == NEG:
-            children = (arena.neg_child(n),)
-        elif kind == JOIN:
-            children = arena.join_children(n)
-        for c in children:
+        p = arena._payload[n]
+        for c in (p,) if type(p) is int else p if type(p) is tuple else ():
             assert pos[c] < pos[n]
 
 
@@ -170,8 +156,7 @@ def test_intern_tree_interns_and_by_de_morgan_in_order():
         "not",
         ("or", (("not", ("var", "a")), ("not", ("var", "b")))),
     )
-    assert [arena.kind(n) for n in (2, 3)] == [NEG, NEG]
-    assert arena.join_children(4) == (2, 3)
+    assert arena._payload[2:5] == [0, 1, (2, 3)]
 
 
 def _build(arena, t) -> int:

@@ -6,7 +6,7 @@ Run:  python3 demos/scaling.py        (about 5 seconds on 2 CPUs)
 import time
 
 from ocbsl import Arena, Session
-from ocbsl.bench import gen_family, run_bench
+from ocbsl.bench import run_bench
 
 print("Right-nested chains (fig6) and zero-revealed chains (fig7) both fit")
 print("a log-log slope near 1 with smallest-first child scheduling:")

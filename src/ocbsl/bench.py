@@ -95,18 +95,15 @@ def gen_family(family: str, n: int) -> Formula:
 
 
 def family_scale(family: str, target_nodes: int) -> int:
-    """Scale n whose instance has roughly target_nodes surface nodes."""
-    if family == "fig6":
-        return max(1, (target_nodes - 3) // 2)  # nodes = 2n + 3
-    if family == "fig7":
-        return max(1, (target_nodes - 3) // 10)  # nodes = 10n + 3
-    if family == "a9":
-        return max(1, (target_nodes - 1) // 5)  # nodes = 5n + 1
-    if family == "and-chain":
-        return max(1, (target_nodes - 3) // 2)  # nodes = 2n + 3
-    if family == "neg-tower":
-        return max(1, (target_nodes - 1) // 4)  # nodes = 4n + 1
-    raise ValueError(f"unknown family {family!r}")
+    """Scale n whose instance has roughly target_nodes surface nodes.
+
+    Every family's node count is affine in n (fig6 and and-chain 2n + 3,
+    fig7 10n + 3, a9 5n + 1, neg-tower 4n + 1), so instances 1 and 2 give
+    the slope and the intercept.
+    """
+    one = formula_nodes(gen_family(family, 1))
+    two = formula_nodes(gen_family(family, 2))
+    return max(1, (target_nodes - (2 * one - two)) // (two - one))
 
 
 # `sizes` are surface node counts, strictly increasing; `times_ns` the

@@ -587,6 +587,7 @@ def test_stats_contract():
     assert list(vars(Stats())) == STATS_FIELDS
     assert all(v == 0 for v in vars(Stats()).values())
     assert Stats(a4_hits=2) == Stats(a4_hits=2) != Stats()
+    assert Stats() != vars(Stats())  # only a Stats compares equal
     assert Stats(a4_hits=2).a4_hits == 2
     with pytest.raises(TypeError):
         Stats(bogus=1)

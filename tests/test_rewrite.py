@@ -69,6 +69,8 @@ def test_a3_matches_modulo_commutativity():
 
 def test_a5_never_empties_a_join():
     assert rules_at(join(ZERO), ()) == ["A2b"]
+    with pytest.raises(ValueError, match="at least one child"):
+        join()
 
 
 def test_a9_is_multiset_inclusion():
@@ -100,6 +102,8 @@ def test_budget():
     t = join(ZERO, A)
     with pytest.raises(RewriteBudgetError):
         normal_form(t, budget=0)
+    with pytest.raises(RewriteBudgetError, match="within 0 steps"):
+        normal_form(t, strategy="rightmost-outermost", budget=0)
     nf, steps = trace_normal_form(t)
     assert nf == A
     assert len(steps) <= node_count(t)
@@ -180,6 +184,20 @@ def test_canonical_order_is_total_and_frozen():
     assert canonicalize(join(B, A)) == join(A, B)
     assert canonicalize(join(neg(A), ONE, A, ZERO)) == join(ZERO, ONE, A, neg(A))
     assert canonicalize(join(join(B, A), neg(B))) == join(neg(B), join(A, B))
+
+    # every join of a canonical term lists its children in `term_key` order
+    def joins(t):
+        if t[0] == "not":
+            yield from joins(t[1])
+        elif t[0] == "or":
+            yield t[1]
+            for c in t[1]:
+                yield from joins(c)
+
+    for t in enumerate_terms(5):
+        for children in joins(canonicalize(t)):
+            keys = [rewrite.term_key(c) for c in children]
+            assert keys == sorted(keys)
 
 
 def test_canonicalize_keys_each_subterm_once(monkeypatch):

@@ -199,9 +199,9 @@ class Arena:
 
         Each node is interned inline, with the memo lookup and the appends
         of `_intern` written out per kind: a call per node was most of the
-        cost of this loop.  A two-child "or", the commonest join, pops its
-        right child and overwrites its left one on the value stack instead
-        of slicing both off.  Sizes are not saturated as in `_intern`: each
+        cost of this loop.  A two-child "or" or "and", the commonest joins,
+        pops its right child and overwrites its left one on the value stack
+        instead of slicing both off.  Sizes are not saturated as in `_intern`: each
         "and" of k children adds k + 1 nodes, so a tree of N nodes expands
         to at most 3N, and `_tree_nodes` has just walked all N of them, far
         short of SIZE_CAP.  A memo hit is a node of the same content, so of
@@ -241,6 +241,32 @@ class Arena:
                     ref = memo[p] = len(payload)
                     add_payload(p)
                     add_size(sizes[a] + sizes[b] + 1)
+                vals[-1] = ref
+            elif head == "and" and len(t[1]) == 2:  # !(!a | !b), interned in that order
+                b = vals.pop()
+                a = vals[-1]
+                na = lookup(a)
+                if na is None:
+                    na = memo[a] = len(payload)
+                    add_payload(a)
+                    add_size(sizes[a] + 1)
+                nb = lookup(b)
+                if nb is None:
+                    nb = memo[b] = len(payload)
+                    add_payload(b)
+                    add_size(sizes[b] + 1)
+                p = (na, nb)
+                ref = lookup(p)
+                if ref is None:
+                    ref = memo[p] = len(payload)
+                    add_payload(p)
+                    add_size(sizes[na] + sizes[nb] + 1)
+                p = ref
+                ref = lookup(p)
+                if ref is None:
+                    ref = memo[p] = len(payload)
+                    add_payload(p)
+                    add_size(sizes[p] + 1)
                 vals[-1] = ref
             elif head == "or" or head == "and":
                 k = len(t[1])

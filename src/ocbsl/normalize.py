@@ -26,18 +26,23 @@ so chain-shaped inputs of any depth are fine):
   conjunction is a join under ``!!``): static nesting costs one visit
   per node;
 * a child that needs no frame is coded where it is queued, in stored
-  order: a leaf, a coded term, or the negation of either.  A code naming
-  a join class is kept apart and merged by its (sorted) member codes
-  when the join finishes;
-* the negated joins left are normalized smallest expanded tree first,
-  deferring the largest; when everything else of a join reduces to 0 the
-  join is replaced by its last child *structurally* (never coded), a
-  double negation at the seam is stripped and the seam is queued in the
-  enclosing frame.  This keeps dynamically revealed nesting out of the
-  coded cascade: the work wasted on a mis-ordered child is bounded by
-  half the subtree, giving a quasilinear total in n, the size of the
-  *expanded tree*.  It is not quasilinear in DAG size: a nested join
-  shared by k parents is spliced and merged again under each of them.
+  order: a leaf, a coded term, the negation of either, or the negation
+  of a join whose children are all of those three kinds.  Such a join
+  has no child that could collapse, so it needs no schedule: its
+  children are coded inline and the join with one `_finish_join`.  A
+  code naming a join class is kept apart and merged by its (sorted)
+  member codes when the join finishes;
+* the negated joins left (an uncoded join, negated join or double
+  negation among their children) are normalized smallest expanded tree
+  first, deferring the largest; when everything else of a join reduces
+  to 0 the join is replaced by its last child *structurally* (never
+  coded), a double negation at the seam is stripped and the seam is
+  queued in the enclosing frame.  This keeps dynamically revealed
+  nesting out of the coded cascade: the work wasted on a mis-ordered
+  child is bounded by half the subtree, giving a quasilinear total in n,
+  the size of the *expanded tree*.  It is not quasilinear in DAG size: a
+  nested join shared by k parents is spliced and merged again under each
+  of them.
 
 Complement detection happens on the set of a join's m merged codes: a
 pair (2k, 2k+1) shares the class number k, and a negated join class
@@ -91,8 +96,13 @@ class Stats:
         "a9_hits",  # join annihilated by a negated sub-join
         "a10_hits",  # !0 -> 1
         "a11_hits",  # !1 -> 0
-        "nodes_visited",  # node opened or coded, when resolved or where it is queued
-        "memo_hits",  # node found coded, when resolved or where it (or its negation) is queued
+        # node opened or coded: when resolved, where it is queued, or where
+        # the scan of a queued negated join meets it
+        "nodes_visited",
+        # node found coded: when resolved, where it (or its negation) is
+        # queued, or where a scan meets it (or its negation); a child coded
+        # by a scan that stopped is met again when its join's frame opens
+        "memo_hits",
         "codes_allocated",  # plain/negated pairs
         "merge_work",  # child codes merged, before deduplication
         "a9_probe_work",  # member codes probed by the A9 check
@@ -125,7 +135,9 @@ class Session:
 
     Each join's negated-join children, with nested joins spliced in place,
     are normalized smallest expanded tree first, ties in stored order; its
-    other children are coded as they are queued, in stored order.
+    other children, and each negated join whose own children are leaves,
+    coded terms or negations of either, are coded as they are queued, in
+    stored order.
     size_scheduling=False disables that order and the structural collapse
     of all-but-one-zero joins (children are then taken in stored order and
     every join is coded).  Verdicts are unchanged; only the cost profile
@@ -229,7 +241,12 @@ class Session:
     # refs handed to the top frame, drops the refs already in `seen`,
     # strips double negations and splices joins (iteratively, so a chain
     # does not recurse) while no code is known, codes every child that needs
-    # no frame and sorts the negated joins left once, stably.  A frame
+    # no frame and sorts the negated joins left once, stably.  A negated
+    # join needs no frame if none of its children does: the block scans
+    # them in stored order, coding each, and codes the join with one
+    # `_finish_join`.  A scan that meets a join, a negated join or a double
+    # negation stops and queues the negated join; the children it coded stay
+    # coded and are met in the memo when the frame opens.  A frame
     # receives its join's children when it opens, and later perhaps the
     # seam of a collapsed child.  A seam is a proper subterm of a child
     # popped as the smallest, so it is smaller than everything still queued
@@ -324,14 +341,62 @@ class Session:
                                             strips += 1
                                             work.append(q)
                                             continue
-                                        if type(q) is tuple:  # of a join not coded yet: it needs a frame
-                                            batch.append(r)
-                                            continue
-                                        visited += 1  # the leaf p
-                                        c = codes.get(q)
-                                        if c is None:
-                                            c = 2 * len(classes)
-                                            classes.append(q)
+                                        if type(q) is tuple:  # of a join not coded yet
+                                            # coded here unless a child needs a frame
+                                            kids: list[int] = []
+                                            kid_joins: list[int] = []
+                                            for x in q:
+                                                k = node_codes[x]
+                                                if k is None:
+                                                    y = payload[x]
+                                                    if type(y) is int:  # a negation
+                                                        k = node_codes[y]
+                                                        if k is None:
+                                                            z = payload[y]
+                                                            if type(z) is int or type(z) is tuple:
+                                                                break  # r needs a frame
+                                                            visited += 1  # the leaf y
+                                                            k = codes.get(z)
+                                                            if k is None:
+                                                                k = 2 * len(classes)
+                                                                classes.append(z)
+                                                            node_codes[y] = k
+                                                        else:
+                                                            memo += 1
+                                                        if k == ZERO_CODE:
+                                                            a10 += 1
+                                                        elif k == ONE_CODE:
+                                                            a11 += 1
+                                                        k ^= 1
+                                                    elif type(y) is tuple:
+                                                        break  # r needs a frame
+                                                    else:  # a leaf
+                                                        k = codes.get(y)
+                                                        if k is None:
+                                                            k = 2 * len(classes)
+                                                            classes.append(y)
+                                                    visited += 1
+                                                    node_codes[x] = k
+                                                else:
+                                                    memo += 1
+                                                if k == ZERO_CODE:
+                                                    continue  # dropped, counted if the join is coded
+                                                if k & 1 or type(classes[k >> 1]) is not tuple:
+                                                    kids.append(k)
+                                                else:
+                                                    kid_joins.append(k)
+                                            else:
+                                                drops += len(q) - len(kids) - len(kid_joins)
+                                                c = finish_join(kids, kid_joins)
+                                            if c is None:
+                                                batch.append(r)
+                                                continue
+                                        else:  # a leaf
+                                            c = codes.get(q)
+                                            if c is None:
+                                                c = 2 * len(classes)
+                                                classes.append(q)
+                                        visited += 1  # p
                                         node_codes[p] = c
                                     else:
                                         memo += 1

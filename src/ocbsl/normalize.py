@@ -51,7 +51,10 @@ whose member set is contained in the child set annihilates the join to 1
 O(m); one probe costs |members| of that class, which is at most the tree
 size of the child that brought the code in; and a class with at least as
 many members as the join has codes cannot be a subset, so it is skipped
-unprobed.  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
+unprobed.  A join class has at least two members, so a join of two
+codes, the commonest kind, is never probed: it needs no set either, and
+is decided by comparing the two (equal, complements, or a class keyed by
+the pair).  `Stats.merge_work` and `Stats.a9_probe_work` count that work.
 `extract_normal_form` builds a code's term back, visiting each code once.
 """
 
@@ -472,12 +475,35 @@ class Session:
         are merged in.  Deduplicates, and checks for annihilation (A4, A7,
         A9) before looking up or allocating the class of the remaining
         codes.  Takes `acc` over as the list of merged codes.
+
+        Two codes and no join class, the commonest join, are decided by
+        compares: equal codes collapse to one (A3), a pair c, c ^ 1 gives 1
+        (A7), and any other pair is keyed as the general merge keys it.  No
+        A9 probe is needed: a join class has at least two members, none of
+        them the probed code, so it fits only a join of three codes or more
+        (the general loop skips it unprobed too).
         """
         stats = self.stats
         if ONE_CODE in acc:
             stats.a4_hits += 1
             return ONE_CODE
         classes = self._classes
+        if not joins and len(acc) == 2:  # the commonest join: decided by compares
+            stats.merge_work += 2
+            a, b = acc
+            if a == b:
+                stats.a3_dedups += 1
+                stats.a2b_collapses += 1
+                return a
+            if a ^ b == 1:
+                stats.a7_hits += 1
+                return ONE_CODE
+            key = (a, b) if a < b else (b, a)
+            code = self._codes.get(key)
+            if code is None:
+                code = self._codes[key] = 2 * len(classes)
+                classes.append(key)
+            return code
         flat = acc
         if joins:
             stats.a2_flattens += len(joins)

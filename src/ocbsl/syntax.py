@@ -36,10 +36,13 @@ characters and operators alone is cut by `str.split` once every operator
 is padded with spaces; any other text by one `findall` of a group-free
 pattern (a name, a digit word or any other single non-whitespace
 character).  Both cuts give the same tokens.  The parser is iterative and
-allocates no frame per parenthesised group: one operand list, and four
-integers per open ``(`` on one flat list, hold all its state.  Only a
-rejected text is scanned again, up to the failing token, to find its
-offset.
+allocates no frame per parenthesised group: one operand list, and one
+tuple per open ``(`` (the enclosing group's two operand offsets, pending
+negations and conjunction flag), hold all its state.  The loop keeps no
+token index.  Only a rejected text costs more: the failing token's index
+is recovered from the number of tokens left (an unclosed ``(`` is found
+by scanning the tokens again), and the text is scanned again, up to that
+token, to find its offset.
 
 Chains of one operator are flattened into a single n-ary node at parse
 time; parenthesised subformulas are kept as written, so ``a | (b | c)``
@@ -52,6 +55,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import islice
+from operator import length_hint
 
 from .dag import _NAME_RE, _check_name, _tree_nodes
 
@@ -183,12 +187,18 @@ def _syntax_error(message: str, text: str, tokens: list, i: int) -> ParseError:
 #
 # Iterative so that deeply parenthesised input cannot overflow the Python
 # stack.  `out` holds the finished operands of every open group, innermost
-# last: the current disjunction's parts from `or_start` on, the current
-# conjunction's from `and_start` on.  A `(` saves those two offsets, its
-# pending negations and its token index on the flat int list `opens`, and
-# its `)` pops them back.  A conjunction or disjunction closes by replacing
-# its slice of `out` with one node; a group of two disjuncts, the common
-# case, is closed by two pops instead.
+# last: the current disjunction's parts from `or_start` on, and, while
+# `conj` is set, the current conjunction's from `and_start` on.  A run's
+# first `&` sets both, so a `|` or `)` that closes no conjunction does no
+# conjunction bookkeeping.  A `(` pushes one tuple (or_start, and_start,
+# negations, conj) of the enclosing group on `opens`, and its `)` unpacks
+# it with one pop.  A conjunction or disjunction closes by replacing its
+# slice of `out` with one node; a group of two disjuncts, the common case,
+# is closed by two pops instead.
+#
+# The loop keeps no token index.  An error recovers the failing token's
+# index from the number of tokens the iterator has left, and an unclosed
+# `(` is found by scanning the tokens again for the innermost one.
 
 
 def parse(text: str) -> Formula:
@@ -201,25 +211,29 @@ def parse(text: str) -> Formula:
     else:
         tokens = _WORD_RE.findall(text)
     out: list = []
-    opens: list[int] = []  # or_start, and_start, negations, token index per open "("
+    opens: list[tuple] = []  # (or_start, and_start, negations, conj) per open "("
     or_start = and_start = negs = 0
+    conj = False
     want_operand = True
-    for i, word in enumerate(tokens):
+    it = iter(tokens)
+    for word in it:
         if want_operand:
-            if word == "(":
-                opens += (or_start, and_start, negs, i)
-                or_start = and_start = len(out)
-                negs = 0
-                continue
-            if word == "!" or word == "~":
-                negs += 1
-                continue
             if word[0] in _NAME_START:
                 # the scanner has matched the name grammar already
                 node: Formula = ("var", word)
+            elif word == "(":
+                opens.append((or_start, and_start, negs, conj))
+                or_start = len(out)
+                negs = 0
+                conj = False
+                continue
+            elif word == "!" or word == "~":
+                negs += 1
+                continue
             elif word == "0" or word == "1":
                 node = (word,)
             else:
+                i = len(tokens) - length_hint(it) - 1
                 raise _syntax_error("expected an operand", text, tokens, i)
             while negs:
                 node = ("not", node)
@@ -227,16 +241,20 @@ def parse(text: str) -> Formula:
             out.append(node)
             want_operand = False
         elif word == "|":
-            if len(out) - and_start > 1:
+            if conj:
                 out[and_start:] = [("and", tuple(out[and_start:]))]
-            and_start = len(out)
+                conj = False
             want_operand = True
         elif word == "&":
+            if not conj:
+                and_start = len(out) - 1
+                conj = True
             want_operand = True
         elif word == ")":
             if not opens:
+                i = len(tokens) - length_hint(it) - 1
                 raise _syntax_error("unmatched ')'", text, tokens, i)
-            if len(out) - and_start > 1:
+            if conj:
                 out[and_start:] = [("and", tuple(out[and_start:]))]
             k = len(out) - or_start
             if k == 2:  # the common group: two pops, no slice
@@ -247,22 +265,27 @@ def parse(text: str) -> Formula:
                 del out[or_start:]
             else:
                 node = out.pop()
-            opens.pop()  # the token index
-            negs = opens.pop()
-            and_start = opens.pop()
-            or_start = opens.pop()
+            or_start, and_start, negs, conj = opens.pop()
             while negs:
                 node = ("not", node)
                 negs -= 1
             out.append(node)
         else:
+            i = len(tokens) - length_hint(it) - 1
             raise _syntax_error("expected an operator", text, tokens, i)
     if want_operand:
         raise _syntax_error("expected an operand", text, tokens, len(tokens))
     if opens:
-        # the whole text is scanned, so no lexical error remains
-        raise _error("unclosed '('", text, tokens, opens[-1])
-    if len(out) - and_start > 1:
+        # the whole text is scanned, so no lexical error remains, and every
+        # ")" matched a "(": the innermost "(" left open is the last on `starts`
+        starts = []
+        for i, word in enumerate(tokens):
+            if word == "(":
+                starts.append(i)
+            elif word == ")":
+                starts.pop()
+        raise _error("unclosed '('", text, tokens, starts[-1])
+    if conj:
         out[and_start:] = [("and", tuple(out[and_start:]))]
     return ("or", tuple(out)) if len(out) > 1 else out[0]
 

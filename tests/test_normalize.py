@@ -569,6 +569,65 @@ def test_shared_frame_free_join_is_coded_once(stop):
     assert s.stats.nodes_visited + s.stats.merge_work <= 6 * (K + m), s.stats
 
 
+def _session_with_every_kind_of_code():
+    """A session whose codes are the constants, variables, negated
+    variables, join classes of two and three members and their negations."""
+    _, s = fresh()
+    for text in ("a", "b", "c", "a | b", "a | !b", "!a | c", "a | b | c", "!(a | b) | c"):
+        code_of(s, text)
+    return s
+
+
+def test_two_code_join_is_decided_as_the_general_merge_decides_it():
+    # every ordered pair (a, b), through the two-code branch and through the
+    # general merge on [a, b, a]: the same code, class numbering and rule
+    # counters; the general path merged and dropped one code more
+    quick, general = _session_with_every_kind_of_code(), _session_with_every_kind_of_code()
+    codes = range(2 * len(quick._classes))
+    branches = collections.Counter()
+    for a in codes:
+        for b in codes:
+            before_quick, before_general = vars(quick.stats).copy(), vars(general.stats).copy()
+            code = quick._finish_join([a, b], [])
+            assert code == general._finish_join([a, b, a], []), (a, b)
+            assert quick._classes == general._classes and quick._codes == general._codes, (a, b)
+            quick_delta = {k: v - before_quick[k] for k, v in vars(quick.stats).items()}
+            general_delta = {k: v - before_general[k] for k, v in vars(general.stats).items()}
+            extra = 0 if ONE_CODE in (a, b) else 1  # A4 returns before any merge
+            for name in ("merge_work", "a3_dedups"):
+                assert general_delta.pop(name) - quick_delta.pop(name) == extra, (a, b, name)
+            assert quick_delta == general_delta, (a, b)
+            branches["A4" if extra == 0 else "A3" if a == b else "A7" if a ^ b == 1 else "class"] += 1
+    assert set(branches) == {"A3", "A4", "A7", "class"}, branches
+
+
+@pytest.mark.parametrize(
+    "texts, counters",
+    [
+        # the duplicate is dropped by the frame (A3), and the one code left
+        # is the join's (collapse)
+        (["a | !!a"], dict(a2b_collapses=1, a3_dedups=1, a6_strips=1, nodes_visited=2, codes_allocated=1,
+                           merge_work=1)),
+        # two refs of one class: the root's two codes are equal (A3 + collapse)
+        (["!(a | b) | !(b | a)"], dict(a2b_collapses=1, a3_dedups=1, nodes_visited=7, memo_hits=2,
+                                       codes_allocated=3, merge_work=6)),
+        (["v | !v"], dict(a7_hits=1, nodes_visited=3, memo_hits=1, codes_allocated=1, merge_work=2)),
+        (["a | 1"], dict(a4_hits=1, nodes_visited=3, codes_allocated=1)),
+        # the class of a | b, numbered by the first formula, is met again by
+        # the second as b | a
+        (["x | !(a | b)", "y | !(b | a)"], dict(nodes_visited=10, memo_hits=2, codes_allocated=7, merge_work=8)),
+    ],
+    ids=["a3-by-the-frame", "a3-by-the-merge", "a7", "a4", "class-met-twice"],
+)
+def test_golden_two_code_joins(texts, counters):
+    arena, s = fresh()
+    for text in texts:
+        ref = to_internal(parse(text), arena)
+        nf_ref = s.extract_normal_form(s.normalize(ref))
+        assert rw.oracle_equivalent(arena.export_tree(ref), arena.export_tree(nf_ref)), text
+    assert s.stats == Stats(**counters)
+
+
 _FIG6_N = family_scale("fig6", 2**10)
 _FIG7_N = family_scale("fig7", 2**10)
 _A9_N = family_scale("a9", 2**10)

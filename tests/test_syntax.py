@@ -50,6 +50,28 @@ def test_parse_precedence_and_flattening():
     assert parse("(a | b) | c") == Or((Or((Var("a"), Var("b"))), Var("c")))
 
 
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        # a conjunction open around a group continues after it
+        (
+            "a & (b | c) & d | e",
+            Or((And((Var("a"), Or((Var("b"), Var("c"))), Var("d"))), Var("e"))),
+        ),
+        # a conjunction closed inside a group, and one opened after it
+        ("(a & b) | c & d", Or((And((Var("a"), Var("b"))), And((Var("c"), Var("d")))))),
+        ("!(a & b & c) | d", Or((Not(And((Var("a"), Var("b"), Var("c")))), Var("d")))),
+        # a group that closes a conjunction of its own ends an outer one
+        (
+            "a | b & c & (d | e & f)",
+            Or((Var("a"), And((Var("b"), Var("c"), Or((Var("d"), And((Var("e"), Var("f"))))))))),
+        ),
+    ],
+)
+def test_parse_conjunctions_closed_across_groups(text, tree):
+    assert parse(text) == tree
+
+
 def test_parse_singleton_parens_collapse():
     assert parse("(a)") == Var("a")
     assert parse("((a))") == Var("a")
@@ -75,6 +97,9 @@ def test_parse_errors(text):
         ("", "expected an operand", 0, 0),
         ("a b", "expected an operator", 2, 3),
         ("(a", "unclosed '('", 0, 1),
+        # the innermost "(" still open is reported, not one already closed
+        ("(a | (b", "unclosed '('", 5, 6),
+        ("(a | (b) | c", "unclosed '('", 0, 1),
         ("a)", "unmatched ')'", 1, 2),
         ("01", "bad token '01'", 0, 2),
         ("a | é", "unexpected character 'é'", 4, 6),  # two UTF-8 bytes

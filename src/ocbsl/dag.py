@@ -17,11 +17,15 @@ be a `str` subclass, so none tests for `str`.
 
 Refs are handed out in append order, and a node can only be interned
 after its children exist, so every child has a smaller ref than its
-parent: ascending refs are a topological order.  Two measures lean on
-this.  A node's expanded tree size is fixed when it is interned, from the
-sizes its children already have.  And the nodes reachable from some
-roots, sorted, list every node after its children, at O(r log r) for r
-reachable refs.
+parent: ascending refs are a topological order.  So the nodes reachable
+from some roots, sorted, list every node after its children, at
+O(r log r) for r reachable refs.
+
+A node's expanded tree size is not stored: interning pays nothing for
+it, and no reader writes to a frozen arena.  `_add_tree_sizes` enters
+sizes in a dict that its caller keeps, in one walk that stops at the
+sizes already there: `tree_size` starts from an empty dict on every
+call, and a `Session` keeps the sizes its schedule reads.
 
 The plain-tuple interchange form used by `intern_tree`/`export_tree` (and
 by the rewrite oracle) is::
@@ -105,7 +109,8 @@ class Arena:
     def __init__(self):
         self._payload: list = []  # ref -> payload, which encodes the kind (module docstring)
         self._memo: dict = {}  # payload -> ref
-        self._sizes: list[int] = []  # expanded tree size, saturating at SIZE_CAP
+        # Nothing else is kept per node: `_add_tree_sizes` computes expanded
+        # tree sizes on demand (module docstring).
 
     def __len__(self) -> int:
         return len(self._payload)
@@ -119,15 +124,7 @@ class Arena:
         if ref is not None:
             return ref
         ref = len(self._payload)
-        sizes = self._sizes
-        if type(payload) is int:  # a negation of that ref
-            size = sizes[payload] + 1
-        elif type(payload) is tuple:  # a join of those refs
-            size = sum(map(sizes.__getitem__, payload)) + 1
-        else:  # a leaf
-            size = 1
         self._payload.append(payload)
-        sizes.append(size if size < SIZE_CAP else SIZE_CAP)
         self._memo[payload] = ref
         return ref
 
@@ -178,13 +175,50 @@ class Arena:
                 stack.extend(p)
         return sorted(seen)
 
+    def _add_tree_sizes(self, roots, sizes: dict) -> None:
+        """Enter in sizes the expanded tree size of every node reachable from roots.
+
+        Roots are unchecked.  The walk stops at the refs sizes already
+        holds, so a caller that keeps sizes computes each ref's size at
+        most once; refs never change their node, so an entry stays right
+        however much is interned later.  Iterative: an entered ref pushes
+        the marker ~ref, then its children, and the marker enters its
+        size once theirs are in.  No ref is entered twice: a copy pushed
+        before it was entered is popped after its marker, and none is
+        pushed while it is open, as no node is its own descendant.  Sizes
+        saturate at SIZE_CAP.
+        """
+        payload = self._payload
+        stack = list(roots)
+        pop, push, extend = stack.pop, stack.append, stack.extend
+        while stack:
+            n = pop()
+            if n < 0:  # a marker: the children's sizes are in
+                n = ~n
+                p = payload[n]
+                size = sizes[p] + 1 if type(p) is int else sum(map(sizes.__getitem__, p)) + 1
+                sizes[n] = size if size < SIZE_CAP else SIZE_CAP
+            elif n not in sizes:
+                p = payload[n]
+                if type(p) is int:  # a negation
+                    push(~n)
+                    push(p)
+                elif type(p) is tuple:  # a join
+                    push(~n)
+                    extend(p)
+                else:  # a leaf
+                    sizes[n] = 1
+
     def tree_size(self, ref: int) -> int:
         """Node count of the fully expanded tree under ref, saturating at SIZE_CAP.
 
-        Fixed when ref is interned, so this is a lookup.
+        Not stored: computed afresh on every call, at O(r) for the r nodes
+        under ref.
         """
         self._check(ref)
-        return self._sizes[ref]
+        sizes: dict[int, int] = {}
+        self._add_tree_sizes((ref,), sizes)
+        return sizes[ref]
 
     # -- plain-tuple interchange --------------------------------------------
 
@@ -197,21 +231,18 @@ class Arena:
         interns the negated children left to right, then their join, then
         its negation.
 
-        Each node is interned inline, with the memo lookup and the appends
+        Each node is interned inline, with the memo lookup and the append
         of `_intern` written out per kind: a call per node was most of the
         cost of this loop.  A two-child "or" or "and", the commonest joins,
         pops its right child and overwrites its left one on the value stack
-        instead of slicing both off.  Sizes are not saturated as in `_intern`: each
-        "and" of k children adds k + 1 nodes, so a tree of N nodes expands
-        to at most 3N, and `_tree_nodes` has just walked all N of them, far
-        short of SIZE_CAP.  A memo hit is a node of the same content, so of
-        the same size.  `_intern` stays the path of the builders and of
-        `Session.extract_normal_form`; tests/test_dag.py pins the two paths
-        to the same refs, payloads, sizes and memo.
+        instead of slicing both off.  Like `_intern`, it computes no tree
+        size (module docstring).  `_intern` stays the path of the builders
+        and of `Session.extract_normal_form`; tests/test_dag.py pins the two
+        paths to the same refs, payloads, memo and tree sizes.
         """
         nodes = _tree_nodes(term)  # the tree is checked and refs on `vals` came from it
-        payload, sizes, memo = self._payload, self._sizes, self._memo
-        lookup, add_payload, add_size = memo.get, payload.append, sizes.append
+        payload, memo = self._payload, self._memo
+        lookup, add_payload = memo.get, payload.append
         vals: list[int] = []
         push = vals.append
         for t in reversed(nodes):
@@ -222,7 +253,6 @@ class Arena:
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    add_size(1)
                 push(ref)
             elif head == "not":
                 p = vals[-1]
@@ -230,7 +260,6 @@ class Arena:
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    add_size(sizes[p] + 1)
                 vals[-1] = ref
             elif head == "or" and len(t[1]) == 2:  # the common join: no slice
                 b = vals.pop()
@@ -240,7 +269,6 @@ class Arena:
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    add_size(sizes[a] + sizes[b] + 1)
                 vals[-1] = ref
             elif head == "and" and len(t[1]) == 2:  # !(!a | !b), interned in that order
                 b = vals.pop()
@@ -249,24 +277,20 @@ class Arena:
                 if na is None:
                     na = memo[a] = len(payload)
                     add_payload(a)
-                    add_size(sizes[a] + 1)
                 nb = lookup(b)
                 if nb is None:
                     nb = memo[b] = len(payload)
                     add_payload(b)
-                    add_size(sizes[b] + 1)
                 p = (na, nb)
                 ref = lookup(p)
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    add_size(sizes[na] + sizes[nb] + 1)
                 p = ref
                 ref = lookup(p)
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    add_size(sizes[p] + 1)
                 vals[-1] = ref
             elif head == "or" or head == "and":
                 k = len(t[1])
@@ -278,28 +302,24 @@ class Arena:
                         if ref is None:
                             ref = memo[p] = len(payload)
                             add_payload(p)
-                            add_size(sizes[p] + 1)
                         children[i] = ref
                 p = tuple(children)
                 ref = lookup(p)
                 if ref is None:
                     ref = memo[p] = len(payload)
                     add_payload(p)
-                    add_size(sum(map(sizes.__getitem__, p)) + 1)
                 if head == "and":  # and the negation of the join
                     p = ref
                     ref = lookup(p)
                     if ref is None:
                         ref = memo[p] = len(payload)
                         add_payload(p)
-                        add_size(sizes[p] + 1)
                 push(ref)
             else:  # "0" or "1": the head is the leaf's text
                 ref = lookup(head)
                 if ref is None:
                     ref = memo[head] = len(payload)
                     add_payload(head)
-                    add_size(1)
                 push(ref)
         return vals[0]
 

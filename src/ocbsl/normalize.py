@@ -140,7 +140,10 @@ class Session:
     are normalized smallest expanded tree first, ties in stored order; its
     other children, and each negated join whose own children are leaves,
     coded terms or negations of either, are coded as they are queued, in
-    stored order.
+    stored order.  A size is computed when a sort first reads it and kept in
+    `_sizes` for the rest of the session.  The arena stores none (see
+    `dag`): interning pays nothing for them, and `normalize` writes nothing
+    to the arena, so sessions may share a frozen one.
     size_scheduling=False disables that order and the structural collapse
     of all-but-one-zero joins (children are then taken in stored order and
     every join is coded).  Verdicts are unchanged; only the cost profile
@@ -163,6 +166,7 @@ class Session:
         self._node_codes: list = []  # TermRef -> code, or None if not coded yet
         self._classes: list = [None]  # class k -> its key; slot 0 is the constants
         self._codes: dict = {"0": ZERO_CODE, "1": ONE_CODE}  # constant or join key -> its code
+        self._sizes: dict = {}  # TermRef -> expanded tree size, for the schedule's sorts
 
     # -- the class table -------------------------------------------------------
 
@@ -240,28 +244,32 @@ class Session:
     # or that of a seam resolved at the root, has neg None.  A finished
     # frame's code is negated on delivery, like any code under a negation.
     # `todo` is sorted by tree size, largest first, so `pop()` takes the
-    # smallest child.  One block queues children: it takes `incoming`, the
-    # refs handed to the top frame, drops the refs already in `seen`,
-    # strips double negations and splices joins (iteratively, so a chain
-    # does not recurse) while no code is known, codes every child that needs
-    # no frame and sorts the negated joins left once, stably.  A negated
-    # join needs no frame if none of its children does: the block scans
-    # them in stored order, coding each, and codes the join with one
-    # `_finish_join`.  A scan that meets a join, a negated join or a double
-    # negation stops and queues the negated join; the children it coded stay
-    # coded and are met in the memo when the frame opens.  A frame
-    # receives its join's children when it opens, and later perhaps the
-    # seam of a collapsed child.  A seam is a proper subterm of a child
-    # popped as the smallest, so it is smaller than everything still queued
-    # and appending it keeps the order, except among sizes saturated at
-    # SIZE_CAP, whose order is lost anyway (see `dag.SIZE_CAP`).
+    # smallest child.  Only a batch of two or more negated joins is sorted:
+    # `Arena._add_tree_sizes` enters the sizes the sort reads, and those of
+    # the nodes under them, in the session's `_sizes`, stopping at the
+    # sizes already there.  So each ref's size is computed at most once per
+    # session, and none when no frame has two negated joins to order.  One
+    # block queues children: it takes `incoming`, the refs handed to the
+    # top frame, drops the refs already in `seen`, strips double negations
+    # and splices joins (iteratively, so a chain does not recurse) while
+    # no code is known, codes every child that needs no frame and sorts
+    # the negated joins left once, stably.  A negated join needs no frame
+    # if none of its children does: the block scans them in stored order,
+    # coding each, and codes the join with one `_finish_join`.  A scan that
+    # meets a join, a negated join or a double negation stops and queues the
+    # negated join; the children it coded stay coded and are met in the
+    # memo when the frame opens.  A frame receives its join's children when
+    # it opens, and later perhaps the seam of a collapsed child.  A seam is
+    # a proper subterm of a child popped as the smallest, so it is smaller
+    # than everything still queued and appending it keeps the order, except
+    # among sizes saturated at SIZE_CAP, whose order is lost anyway (see
+    # `dag.SIZE_CAP`).
     #
     # The pass reads the arena's payloads without checking refs: `normalize`
     # checks the root, and every other ref the pass meets descends from it.
 
     def _run(self, root: int) -> int:
         payload = self.arena._payload
-        sizes = self.arena._sizes
         node_codes = self._node_codes
         codes, classes = self._codes, self._classes
         finish_join = self._finish_join
@@ -421,7 +429,9 @@ class Session:
                                 acc.append(c)
                             else:  # a join class: its members are merged apart
                                 joins.append(c)
-                        if scheduling:
+                        if scheduling and len(batch) > 1:
+                            sizes = self._sizes
+                            self.arena._add_tree_sizes(batch, sizes)
                             batch.sort(key=sizes.__getitem__)
                         batch.reverse()
                         todo += batch

@@ -256,6 +256,42 @@ def test_scheduling_skips_intermediate_classes():
         assert s2.stats.codes_allocated == s1.stats.codes_allocated + (n - 1)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bench_families_compute_no_tree_size(family):
+    # the schedule reads sizes only to sort two or more negated joins left
+    # in one frame, which no bench family has, so its size cache stays empty
+    f = gen_family(family, family_scale(family, 2**12))
+    arena, s = fresh()
+    s.normalize(to_internal(f, arena))
+    assert s._sizes == {}
+
+
+class _WriteOnce(dict):
+    def __setitem__(self, ref, size):
+        assert ref not in self, ref
+        super().__setitem__(ref, size)
+
+
+def test_tree_sizes_are_computed_on_demand_once():
+    # the golden framed-seam-spliced-sorted case sorts the two negated joins
+    # of its seam and nothing else: the cache holds the nodes under them
+    arena, s = fresh()
+    s._sizes = _WriteOnce()  # each size is computed at most once
+    s.normalize(to_internal(parse("b | c | !(!(a | !a) | !!!(!(b | c | !!d) | !(b | !!c)))"), arena))
+    sorted_children = [to_internal(parse(t), arena) for t in ("!(b | c | !!d)", "!(b | !!c)")]
+    assert set(s._sizes) == set(arena.reverse_topological_order(sorted_children))
+    # a second formula sorts too, and its extraction interns new nodes
+    # through `_intern`; cached sizes stay exact as the arena grows
+    code = s.normalize(to_internal(parse("!(d | !!(c | b)) | !(a | !(b | !!d)) | e"), arena))
+    assert set(s._sizes) > set(arena.reverse_topological_order(sorted_children))
+    interned = len(arena)
+    s.extract_normal_form(code)
+    assert len(arena) > interned
+    arena._add_tree_sizes(range(len(arena)), s._sizes)
+    for r in range(len(arena)):
+        assert s._sizes[r] == arena.tree_size(r) == rw.node_count(arena.export_tree(r)), r
+
+
 def test_zero_only_joins():
     arena, s = fresh()
     z = arena.zero()

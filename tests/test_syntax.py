@@ -241,10 +241,12 @@ def test_session_bytes_per_surface_node(family, bound):
     assert (kept - base) / formula_nodes(f) <= bound, session.stats
 
 
-@pytest.mark.parametrize("family, bound", [("fig6", 132), ("fig7", 113), ("a9", 93)])
+@pytest.mark.parametrize(
+    "family, bound", [("fig6", 108), ("fig7", 92), ("a9", 86), ("and-chain", 206), ("neg-tower", 163)]
+)
 def test_arena_bytes_per_surface_node(family, bound):
-    # what `to_internal` keeps of a 2^15-node formula: the payloads, the
-    # memo and the tree sizes; a node's kind is its payload's type
+    # what `to_internal` keeps of a 2^15-node formula: the payloads and the
+    # memo; a node's kind is its payload's type, and its tree size is not kept
     f = gen_family(family, family_scale(family, 2**15))
     tracemalloc.start()
     try:

@@ -118,7 +118,8 @@ class Arena:
     def _intern(self, payload) -> int:
         """Ref of the node with this payload, appended if new; payload unchecked.
 
-        `intern_tree` writes these steps out inline for each node kind.
+        `intern_tree` and `Session.extract_normal_form` write these steps
+        out inline.
         """
         ref = self._memo.get(payload)
         if ref is not None:
@@ -349,25 +350,23 @@ def print_term(arena: Arena, ref: int) -> str:
     arena._check(ref)
     payload = arena._payload  # children of a checked ref are refs
     out: list[str] = []
-    stack: list = [(ref, False)]
+    stack: list = [ref]  # refs, and the strings to emit between them
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        n = stack.pop()
+        if type(n) is not int:  # a string
+            out.append(n)
             continue
-        n, need_parens = item
         p = payload[n]
         if type(p) is int:  # a negation
             out.append("!")
-            stack.append((p, True))
-        elif type(p) is tuple:  # a join
-            if need_parens:
+            stack.append(p)
+        elif type(p) is tuple:  # a join, parenthesised unless it is the root
+            if n != ref:  # the DAG is acyclic: the root occurs only at the top
                 out.append("(")
                 stack.append(")")
-            for i, c in enumerate(reversed(p)):
-                if i:
-                    stack.append(" | ")
-                stack.append((c, True))
+            parts = [" | "] * (2 * len(p) - 1)
+            parts[::2] = p[::-1]
+            stack += parts
         else:  # a leaf's payload is its text: the name, "0" or "1"
             out.append(p)
     return "".join(out)

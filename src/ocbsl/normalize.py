@@ -27,13 +27,14 @@ so chain-shaped inputs of any depth are fine):
   per node;
 * a child that needs no frame is coded where it is queued, in stored
   order: a leaf, a coded term, the negation of either, or the negation
-  of a join whose children are all of those three kinds.  Such a join
-  has no child that could collapse, so it needs no schedule: its
-  children are coded inline and the join with one `_finish_join`.  A
-  code naming a join class is kept apart and merged by its (sorted)
-  member codes when the join finishes;
-* the negated joins left (an uncoded join, negated join or double
-  negation among their children) are normalized smallest expanded tree
+  of a join whose children are all of those three kinds, each perhaps
+  under a tower of double negations.  Such a join has no child that
+  could collapse, so it needs no schedule: its children are coded
+  inline, a tower losing its ``!!`` pairs, and the join with one
+  `_finish_join`.  A code naming a join class is kept apart and merged
+  by its (sorted) member codes when the join finishes;
+* the negated joins left (an uncoded join or negated join among their
+  children, perhaps under ``!!``) are normalized smallest expanded tree
   first, deferring the largest; when everything else of a join reduces
   to 0 the join is replaced by its last child *structurally* (never
   coded), a double negation at the seam is stripped and the seam is
@@ -94,13 +95,16 @@ class Stats:
         "a3_dedups",  # duplicate child dropped: a ref queued again, or a code merged again
         "a4_hits",  # join annihilated by a child equal to 1
         "a5_drops",  # child equal to 0 dropped
-        "a6_strips",  # double negation removed: from a resolved term, a queued child or a seam
+        # double negation removed: from a resolved term, a queued child, a
+        # seam, or a child that the scan of a queued negated join meets
+        "a6_strips",
         "a7_hits",  # join annihilated by a complement pair
         "a9_hits",  # join annihilated by a negated sub-join
         "a10_hits",  # !0 -> 1
         "a11_hits",  # !1 -> 0
         # node opened or coded: when resolved, where it is queued, or where
-        # the scan of a queued negated join meets it
+        # the scan of a queued negated join meets it; the nodes of a `!!`
+        # pair stripped where it is queued or scanned are not coded
         "nodes_visited",
         # node found coded: when resolved, where it (or its negation) is
         # queued, or where a scan meets it (or its negation); a child coded
@@ -139,11 +143,12 @@ class Session:
     Each join's negated-join children, with nested joins spliced in place,
     are normalized smallest expanded tree first, ties in stored order; its
     other children, and each negated join whose own children are leaves,
-    coded terms or negations of either, are coded as they are queued, in
-    stored order.  A size is computed when a sort first reads it and kept in
-    `_sizes` for the rest of the session.  The arena stores none (see
-    `dag`): interning pays nothing for them, and `normalize` writes nothing
-    to the arena, so sessions may share a frozen one.
+    coded terms or negations of either, under any tower of double
+    negations, are coded as they are queued, in stored order.  A size is
+    computed when a sort first reads it and kept in `_sizes` for the rest
+    of the session.  The arena stores none (see `dag`): interning pays
+    nothing for them, and `normalize` writes nothing to the arena, so
+    sessions may share a frozen one.
     size_scheduling=False disables that order and the structural collapse
     of all-but-one-zero joins (children are then taken in stored order and
     every join is coded).  Verdicts are unchanged; only the cost profile
@@ -206,8 +211,9 @@ class Session:
         """
         self._class_key(code)
         # Every name and code in the class table came from this arena, so
-        # the checks of `var`, `neg` and `join` are redundant: intern directly.
-        intern = self.arena._intern
+        # the checks of `var`, `neg` and `join` are redundant: each node is
+        # interned inline, as `Arena._intern` would.
+        payload, memo = self.arena._payload, self.arena._memo
         classes = self._classes
         built: dict[int, int] = {}
         stack = [code]
@@ -216,22 +222,27 @@ class Session:
             if c < 0:  # a marker: the parts of ~c are built
                 c = ~c
                 if c & 1:
-                    built[c] = intern(built[c ^ 1])
+                    p = built[c ^ 1]
                 else:
-                    built[c] = intern(tuple(map(built.__getitem__, classes[c >> 1])))
+                    p = tuple(map(built.__getitem__, classes[c >> 1]))
             elif c in built:
                 continue
             elif c < 2:  # the constants: code 1 is the leaf "1", not !0
-                built[c] = intern("1" if c == ONE_CODE else "0")
+                p = "1" if c == ONE_CODE else "0"
             elif c & 1:
                 stack += (~c, c ^ 1)
+                continue
             else:
-                key = classes[c >> 1]
-                if type(key) is tuple:  # a join's member codes
+                p = classes[c >> 1]  # a name, or a join's member codes
+                if type(p) is tuple:
                     stack.append(~c)
-                    stack += key
-                else:  # a name
-                    built[c] = intern(key)
+                    stack += p
+                    continue
+            ref = memo.get(p)
+            if ref is None:
+                ref = memo[p] = len(payload)
+                payload.append(p)
+            built[c] = ref
         return built[code]
 
     # -- the fused pass ----------------------------------------------------------
@@ -255,14 +266,18 @@ class Session:
     # no code is known, codes every child that needs no frame and sorts
     # the negated joins left once, stably.  A negated join needs no frame
     # if none of its children does: the block scans them in stored order,
-    # coding each, and codes the join with one `_finish_join`.  A scan that
-    # meets a join, a negated join or a double negation stops and queues the
-    # negated join; the children it coded stay coded and are met in the
-    # memo when the frame opens.  A frame receives its join's children when
-    # it opens, and later perhaps the seam of a collapsed child.  A seam is
-    # a proper subterm of a child popped as the smallest, so it is smaller
-    # than everything still queued and appending it keeps the order, except
-    # among sizes saturated at SIZE_CAP, whose order is lost anyway (see
+    # coding each, and codes the join with one `_finish_join`.  The scan
+    # strips a child's `!!` pairs down to the base of its tower, as the
+    # block does, and codes the base.  A scan that meets a join or a
+    # negated join not coded yet, at the base of a tower or not, stops and
+    # queues the negated join; the children it coded stay coded and are
+    # met in the memo when the frame opens, and the strips it counted are
+    # taken back, as the frame strips those towers again.  A frame
+    # receives its join's children when it opens, and later perhaps the
+    # seam of a collapsed child.  A seam is a proper subterm of a child
+    # popped as the smallest, so it is smaller than everything still
+    # queued and appending it keeps the order, except among sizes
+    # saturated at SIZE_CAP, whose order is lost anyway (see
     # `dag.SIZE_CAP`).
     #
     # The pass reads the arena's payloads without checking refs: `normalize`
@@ -356,6 +371,7 @@ class Session:
                                             # coded here unless a child needs a frame
                                             kids: list[int] = []
                                             kid_joins: list[int] = []
+                                            stripped = strips  # restored if the scan stops
                                             for x in q:
                                                 k = node_codes[x]
                                                 if k is None:
@@ -364,7 +380,58 @@ class Session:
                                                         k = node_codes[y]
                                                         if k is None:
                                                             z = payload[y]
-                                                            if type(z) is int or type(z) is tuple:
+                                                            if type(z) is int:  # x is !!z: strip the tower
+                                                                while True:
+                                                                    strips += 1
+                                                                    k = node_codes[z]
+                                                                    if k is not None:
+                                                                        memo += 1
+                                                                        break
+                                                                    y = payload[z]
+                                                                    if type(y) is int:  # a negation
+                                                                        k = node_codes[y]
+                                                                        if k is None:
+                                                                            w = payload[y]
+                                                                            if type(w) is int:  # !!w
+                                                                                z = w
+                                                                                continue
+                                                                            if type(w) is tuple:
+                                                                                break  # r needs a frame
+                                                                            visited += 1  # the leaf y
+                                                                            k = codes.get(w)
+                                                                            if k is None:
+                                                                                k = 2 * len(classes)
+                                                                                classes.append(w)
+                                                                            node_codes[y] = k
+                                                                        else:
+                                                                            memo += 1
+                                                                        if k == ZERO_CODE:
+                                                                            a10 += 1
+                                                                        elif k == ONE_CODE:
+                                                                            a11 += 1
+                                                                        k ^= 1
+                                                                    elif type(y) is tuple:
+                                                                        break  # r needs a frame
+                                                                    else:  # a leaf
+                                                                        k = codes.get(y)
+                                                                        if k is None:
+                                                                            k = 2 * len(classes)
+                                                                            classes.append(y)
+                                                                    visited += 1
+                                                                    node_codes[z] = k
+                                                                    break
+                                                                # the stripped pairs stay uncoded, as
+                                                                # where a `!!` child is queued
+                                                                if k is None:
+                                                                    break
+                                                                if k == ZERO_CODE:
+                                                                    continue
+                                                                if k & 1 or type(classes[k >> 1]) is not tuple:
+                                                                    kids.append(k)
+                                                                else:
+                                                                    kid_joins.append(k)
+                                                                continue
+                                                            if type(z) is tuple:
                                                                 break  # r needs a frame
                                                             visited += 1  # the leaf y
                                                             k = codes.get(z)
@@ -400,6 +467,7 @@ class Session:
                                                 drops += len(q) - len(kids) - len(kid_joins)
                                                 c = finish_join(kids, kid_joins)
                                             if c is None:
+                                                strips = stripped  # counted again when r's frame strips them
                                                 batch.append(r)
                                                 continue
                                         else:  # a leaf

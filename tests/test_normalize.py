@@ -266,6 +266,19 @@ def test_bench_families_compute_no_tree_size(family):
     assert s._sizes == {}
 
 
+def test_negated_conjunctions_of_leaves_compute_no_tree_size():
+    # a9's other spelling, a_i | (!a_i & !b_i): de Morgan interns each
+    # conjunction as !(!!a_i | !!b_i), which the scan codes where it is
+    # queued, stripping both towers, so no frame has a batch to sort
+    n = 2**12 // 6
+    f = Or(tuple(k for i in range(1, n + 1) for k in (Var(f"a{i}"), And((Not(Var(f"a{i}")), Not(Var(f"b{i}")))))))
+    assert formula_nodes(f) == 6 * n + 1
+    arena, s = fresh()
+    s.normalize(to_internal(f, arena))
+    assert s._sizes == {}
+    assert s.stats.a6_strips == 2 * n, s.stats
+
+
 class _WriteOnce(dict):
     def __setitem__(self, ref, size):
         assert ref not in self, ref
@@ -277,8 +290,8 @@ def test_tree_sizes_are_computed_on_demand_once():
     # of its seam and nothing else: the cache holds the nodes under them
     arena, s = fresh()
     s._sizes = _WriteOnce()  # each size is computed at most once
-    s.normalize(to_internal(parse("b | c | !(!(a | !a) | !!!(!(b | c | !!d) | !(b | !!c)))"), arena))
-    sorted_children = [to_internal(parse(t), arena) for t in ("!(b | c | !!d)", "!(b | !!c)")]
+    s.normalize(to_internal(parse("b | c | !(!(a | !a) | !!!(!(b | c | !(d | e)) | !(b | (c | c))))"), arena))
+    sorted_children = [to_internal(parse(t), arena) for t in ("!(b | c | !(d | e))", "!(b | (c | c))")]
     assert set(s._sizes) == set(arena.reverse_topological_order(sorted_children))
     # a second formula sorts too, and its extraction interns new nodes
     # through `_intern`; cached sizes stay exact as the arena grows
@@ -744,8 +757,19 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
             (18, 19),
             id="seam-spliced-sorted",
         ),
+        # the seam's last child would be !(!!b | !!c), but the scan strips
+        # its towers and codes it where it is queued, so no seam fires: the
+        # middle join is coded as that one class (A2b) and the root merges
+        # its members, merge_work 8 where splicing the seam took 5
+        pytest.param(
+            parse("x | !(!(a | !a) | !(!!b | !!c))"), True, "x | b | c",
+            dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=2, a7_hits=1, a11_hits=1,
+                 nodes_visited=12, memo_hits=1, codes_allocated=6, merge_work=8),
+            (16, 17),
+            id="seam-pre-empted-by-towers",
+        ),
         # The four seam cases again, each seam holding a child that needs a
-        # frame (a negated join, or a `!!` tower).  Leaves the scan codes
+        # frame (a negated join, or a nested join).  Leaves the scan codes
         # before it stops are met in the memo when the frame is opened.
         # The seam b | c | !(d | e) cancels one negation and becomes the root
         pytest.param(
@@ -772,13 +796,14 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
             (18, 19),
             id="framed-seam-spliced",
         ),
-        # the spliced seam's children are sorted, so !(b | !!c) is coded
-        # before the larger !(b | c | !!d) and A9 probes {b, c} first and
-        # hits at once; in stored order it would probe {b, c, d} too (work 5)
+        # the spliced seam's children are sorted, so !(b | (c | c)) is coded
+        # before the larger !(b | c | !(d | e)) and A9 probes {b, c} first
+        # and hits at once; in stored order it would probe {b, c, !(d | e)}
+        # too (work 7, of which 2 is !(d | e)'s probe inside its parent)
         pytest.param(
-            parse("b | c | !(!(a | !a) | !!!(!(b | c | !!d) | !(b | !!c)))"), True, "1",
-            dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=4, a7_hits=1, a9_hits=1, a11_hits=1,
-                 nodes_visited=14, memo_hits=8, codes_allocated=6, merge_work=11, a9_probe_work=2),
+            parse("b | c | !(!(a | !a) | !!!(!(b | c | !(d | e)) | !(b | (c | c))))"), True, "1",
+            dict(a2_flattens=2, a2b_collapses=1, a3_dedups=1, a5_drops=1, a6_strips=2, a7_hits=1, a9_hits=1,
+                 a11_hits=1, nodes_visited=17, memo_hits=8, codes_allocated=8, merge_work=13, a9_probe_work=4),
             (22, 23),
             id="framed-seam-spliced-sorted",
         ),
@@ -826,6 +851,62 @@ def test_golden_stats_and_normal_form(formula, scheduling, printed, counters, ex
     nf_ref = s.extract_normal_form(code)
     assert (nf_ref, len(arena)) == extracted
     assert print_term(arena, nf_ref) == printed
+
+
+# A `!!` tower under a negated join is stripped where the scan of that
+# join meets it, so the join is coded where it is queued: each `!!` is one
+# A6 strip and an odd tower over a constant one A10/A11.  A tower ending on
+# a join not coded yet stops the scan, and the frame strips it again; the
+# strips are counted once.  One session per case; fields not listed are 0.
+@pytest.mark.parametrize(
+    "texts, printed, counters",
+    [
+        (["x | !(!!a | !!b)"], ["x | !(a | b)"],
+         dict(a6_strips=2, nodes_visited=6, codes_allocated=5, merge_work=4)),
+        (["x | !(!!a | b)"], ["x | !(a | b)"],
+         dict(a6_strips=1, nodes_visited=6, codes_allocated=5, merge_work=4)),
+        # an odd tower strips to a negated leaf, which is coded too
+        (["x | !(!!!a | b)"], ["x | !(!a | b)"],
+         dict(a6_strips=1, nodes_visited=7, codes_allocated=5, merge_work=4)),
+        (["x | !(!!!!a | b)"], ["x | !(a | b)"],
+         dict(a6_strips=2, nodes_visited=6, codes_allocated=5, merge_work=4)),
+        # an even tower over 0 is 0, dropped (A5); over 1 it is 1 (A4)
+        (["x | !(!!0 | a)"], ["x | !a"],
+         dict(a2b_collapses=1, a5_drops=1, a6_strips=1, nodes_visited=6, codes_allocated=3, merge_work=3)),
+        (["x | !(!!!!1 | a)"], ["x"],
+         dict(a2b_collapses=1, a4_hits=1, a5_drops=1, a6_strips=2, a11_hits=1, nodes_visited=6,
+              codes_allocated=2, merge_work=1)),
+        # an odd tower over a constant negates it once (A10, A11)
+        (["x | !(!!!0 | a)"], ["x"],
+         dict(a2b_collapses=1, a4_hits=1, a5_drops=1, a6_strips=1, a10_hits=1, a11_hits=1, nodes_visited=7,
+              codes_allocated=2, merge_work=1)),
+        (["x | !(!!!1 | a)"], ["x | !a"],
+         dict(a2b_collapses=1, a5_drops=1, a6_strips=1, a11_hits=1, nodes_visited=7, codes_allocated=3,
+              merge_work=3)),
+        # over a join the first formula coded: met in the memo, its class
+        # merged by its members
+        (["b | c", "x | !(a | !!(b | c))"], ["b | c", "x | !(b | c | a)"],
+         dict(a2_flattens=1, a6_strips=1, nodes_visited=8, memo_hits=1, codes_allocated=7, merge_work=7)),
+        # the scan stops at the join b | c; a, coded before the stop, is
+        # met in the memo when the frame strips !!a again
+        (["x | !(!!a | (b | c))"], ["x | !(a | b | c)"],
+         dict(a2_flattens=1, a6_strips=1, nodes_visited=7, memo_hits=1, codes_allocated=6, merge_work=5)),
+        # a tower ending on a join not coded yet stops the scan too
+        (["x | !(!!a | !!(b | c))"], ["x | !(a | b | c)"],
+         dict(a2_flattens=1, a6_strips=2, nodes_visited=7, memo_hits=1, codes_allocated=6, merge_work=5)),
+    ],
+    ids=["both-towers", "one-tower", "odd", "height-4", "even-over-0", "even-over-1", "odd-over-0",
+         "odd-over-1", "over-a-coded-join", "scan-stops-after-a-tower", "scan-stops-at-a-tower"],
+)
+def test_golden_towers_in_a_scanned_join(texts, printed, counters):
+    arena, s = fresh()
+    for text, expected in zip(texts, printed):
+        ref = to_internal(parse(text), arena)
+        nf_ref = s.extract_normal_form(s.normalize(ref))
+        assert print_term(arena, nf_ref) == expected
+        assert rw.oracle_equivalent(arena.export_tree(ref), arena.export_tree(nf_ref)), text
+    assert s.stats == Stats(**counters)
+    assert s._sizes == {}  # no frame had two negated joins to sort
 
 
 STATS_FIELDS = [

@@ -31,8 +31,9 @@ so chain-shaped inputs of any depth are fine):
   under a tower of double negations.  Such a join has no child that
   could collapse, so it needs no schedule: its children are coded
   inline, a tower losing its ``!!`` pairs, and the join with one
-  `_finish_join`.  A code naming a join class is kept apart and merged
-  by its (sorted) member codes when the join finishes;
+  `_finish_join`.  Every nonzero child code is kept as it is: only
+  `_finish_join` tells a code naming a join class from the others, and
+  merges such a class by its (sorted) member codes;
 * the negated joins left (an uncoded join or negated join among their
   children, perhaps under ``!!``) are normalized smallest expanded tree
   first, deferring the largest; when everything else of a join reduces
@@ -248,37 +249,41 @@ class Session:
     # -- the fused pass ----------------------------------------------------------
 
     # The stack holds join frames only.  A frame is a tuple (node, neg, acc,
-    # joins, todo, seen): the join's ref, the negation of it being resolved
-    # (or None), the nonzero codes of finished children, those of them that
-    # name join classes, the negated joins still queued and the refs
-    # received.  As `todo` holds only negated joins, only the root's frame,
-    # or that of a seam resolved at the root, has neg None.  A finished
-    # frame's code is negated on delivery, like any code under a negation.
-    # `todo` is sorted by tree size, largest first, so `pop()` takes the
-    # smallest child.  Only a batch of two or more negated joins is sorted:
-    # `Arena._add_tree_sizes` enters the sizes the sort reads, and those of
-    # the nodes under them, in the session's `_sizes`, stopping at the
-    # sizes already there.  So each ref's size is computed at most once per
-    # session, and none when no frame has two negated joins to order.  One
-    # block queues children: it takes `incoming`, the refs handed to the
-    # top frame, drops the refs already in `seen`, strips double negations
-    # and splices joins (iteratively, so a chain does not recurse) while
-    # no code is known, codes every child that needs no frame and sorts
-    # the negated joins left once, stably.  A negated join needs no frame
-    # if none of its children does: the block scans them in stored order,
-    # coding each, and codes the join with one `_finish_join`.  The scan
-    # strips a child's `!!` pairs down to the base of its tower, as the
-    # block does, and codes the base.  A scan that meets a join or a
-    # negated join not coded yet, at the base of a tower or not, stops and
-    # queues the negated join; the children it coded stay coded and are
-    # met in the memo when the frame opens, and the strips it counted are
-    # taken back, as the frame strips those towers again.  A frame
-    # receives its join's children when it opens, and later perhaps the
-    # seam of a collapsed child.  A seam is a proper subterm of a child
-    # popped as the smallest, so it is smaller than everything still
-    # queued and appending it keeps the order, except among sizes
-    # saturated at SIZE_CAP, whose order is lost anyway (see
-    # `dag.SIZE_CAP`).
+    # todo, seen): the join's ref, the negation of it being resolved (or
+    # None), the nonzero codes of finished children, the negated joins
+    # still queued and the refs received.  `acc` takes every nonzero code,
+    # join classes too: only `_finish_join` tells a join class from another
+    # code, so the pass reads no class key and only appends the names of
+    # new variables to `_classes`.  As `todo` holds only negated joins, only
+    # the root's frame, or that of a seam resolved at the root, has neg
+    # None.  A finished frame's code is negated on delivery, like any code
+    # under a negation.  `todo` is sorted by tree size, largest first, so
+    # `pop()` takes the smallest child.  Only a batch of two or more negated
+    # joins is sorted: `Arena._add_tree_sizes` enters the sizes the sort
+    # reads, and those of the nodes under them, in the session's `_sizes`,
+    # stopping at the sizes already there.  So each ref's size is computed
+    # at most once per session, and none when no frame has two negated
+    # joins to order.
+    #
+    # Each turn of the one loop resolves `current`, if set, then delivers a
+    # code to the top frame and advances it.  One block queues children: it
+    # takes `incoming`, the refs handed to the top frame, drops the refs
+    # already in `seen`, strips double negations and splices joins
+    # (iteratively, so a chain does not recurse) while no code is known,
+    # codes every child that needs no frame and sorts the negated joins left
+    # once, stably.  A negated join needs no frame if none of its children
+    # does: the block scans them in stored order and codes the join with one
+    # `_finish_join`.  One loop per child strips its `!!` pairs, as the
+    # block does, and codes the base: a coded term, a leaf, or the negation
+    # of either.  A base that is a join or a negated join not coded yet
+    # stops the scan and queues the negated join; the children it coded stay
+    # coded and are met in the memo when the frame opens, and the strips it
+    # counted are taken back, as the frame strips those towers again.  A
+    # frame receives its join's children when it opens, and later perhaps
+    # the seam of a collapsed child.  A seam is a proper subterm of a child
+    # popped as the smallest, so it is smaller than everything still queued
+    # and appending it keeps the order, except among sizes saturated at
+    # SIZE_CAP, whose order is lost anyway (see `dag.SIZE_CAP`).
     #
     # The pass reads the arena's payloads without checking refs: `normalize`
     # checks the root, and every other ref the pass meets descends from it.
@@ -290,7 +295,8 @@ class Session:
         finish_join = self._finish_join
         scheduling = self.size_scheduling
         stack: list = []  # join frames
-        current = root  # term waiting to be resolved
+        current = root  # term waiting to be resolved, or None
+        code = None  # code waiting to be delivered to the top frame, or None
         neg = None  # the negation of `current`, or of the term `code` belongs to
         incoming = None  # refs to queue in the top frame
         # added to self.stats at the end
@@ -298,241 +304,188 @@ class Session:
         numbered = len(classes)  # classes numbered before this pass
         try:
             while True:
-                # Resolve `current` into a code, or push a frame for it.
-                code = node_codes[current]
-                if code is not None:
-                    memo += 1
-                else:
-                    visited += 1
-                    p = payload[current]
-                    if type(p) is int:  # a negation of p
-                        if type(payload[p]) is int:
-                            strips += 1
-                            current = payload[p]
-                        else:
-                            neg = current
-                            current = p
-                        continue
-                    if type(p) is tuple:  # a join
-                        stack.append((current, neg, [], [], [], set()))
-                        neg = None
-                        incoming = p
-                    else:  # a leaf: a constant, or a variable met for the first time
-                        code = codes.get(p)
-                        if code is None:  # a new class keyed by the name, as in `_finish_join`
-                            code = 2 * len(classes)
-                            classes.append(p)
-                        node_codes[current] = code
-
-                # Deliver codes and advance join frames until a term needs resolving.
-                current = None
-                while current is None:
+                if current is not None:  # resolve it into a code, or push a frame for it
+                    code = node_codes[current]
                     if code is not None:
-                        if neg is not None:
-                            if code == ZERO_CODE:
-                                a10 += 1
-                            elif code == ONE_CODE:
-                                a11 += 1
-                            code ^= 1
-                            node_codes[neg] = code
+                        memo += 1
+                    else:
+                        visited += 1
+                        p = payload[current]
+                        if type(p) is int:  # a negation of p
+                            if type(payload[p]) is int:
+                                strips += 1
+                                current = payload[p]
+                            else:
+                                neg = current
+                                current = p
+                            continue
+                        if type(p) is tuple:  # a join
+                            stack.append((current, neg, [], [], set()))
                             neg = None
-                        if not stack:
-                            node_codes[root] = code
-                            return code
-                    node, frame_neg, acc, joins, todo, seen = stack[-1]
-                    if incoming:
-                        batch: list[int] = []
-                        work = list(reversed(incoming))
-                        incoming = None
-                        while work:
-                            r = work.pop()
-                            if r in seen:
-                                dedups += 1
+                            incoming = p
+                        else:  # a leaf: a constant, or a variable met for the first time
+                            code = codes.get(p)
+                            if code is None:  # a new class keyed by the name, as in `_finish_join`
+                                code = 2 * len(classes)
+                                classes.append(p)
+                            node_codes[current] = code
+                    current = None
+
+                # Deliver the code, then advance the top frame.
+                if code is not None:
+                    if neg is not None:
+                        if code == ZERO_CODE:
+                            a10 += 1
+                        elif code == ONE_CODE:
+                            a11 += 1
+                        code ^= 1
+                        node_codes[neg] = code
+                        neg = None
+                    if not stack:
+                        node_codes[root] = code
+                        return code
+                node, frame_neg, acc, todo, seen = stack[-1]
+                if incoming:
+                    batch: list[int] = []
+                    work = list(reversed(incoming))
+                    incoming = None
+                    while work:
+                        r = work.pop()
+                        if r in seen:
+                            dedups += 1
+                            continue
+                        seen.add(r)
+                        c = node_codes[r]
+                        if c is not None:
+                            memo += 1
+                        else:  # resolved here unless it is a negated join
+                            p = payload[r]
+                            if type(p) is tuple:  # a join not coded yet
+                                flattens += 1
+                                work.extend(reversed(p))
                                 continue
-                            seen.add(r)
-                            c = node_codes[r]
-                            if c is not None:
-                                memo += 1
-                            else:  # resolved here unless it is a negated join
-                                p = payload[r]
-                                if type(p) is tuple:  # a join not coded yet
-                                    flattens += 1
-                                    work.extend(reversed(p))
-                                    continue
-                                if type(p) is int:  # a negation
-                                    c = node_codes[p]
-                                    if c is None:
-                                        q = payload[p]
-                                        if type(q) is int:  # a double negation: strip it
-                                            strips += 1
-                                            work.append(q)
-                                            continue
-                                        if type(q) is tuple:  # of a join not coded yet
-                                            # coded here unless a child needs a frame
-                                            kids: list[int] = []
-                                            kid_joins: list[int] = []
-                                            stripped = strips  # restored if the scan stops
-                                            for x in q:
+                            if type(p) is int:  # a negation
+                                c = node_codes[p]
+                                if c is None:
+                                    q = payload[p]
+                                    if type(q) is int:  # a double negation: strip it
+                                        strips += 1
+                                        work.append(q)
+                                        continue
+                                    if type(q) is tuple:  # of a join not coded yet
+                                        # coded here unless a child needs a frame
+                                        kids: list[int] = []
+                                        stripped = strips  # restored if the scan stops
+                                        for x in q:
+                                            while True:  # code x, or its base once its `!!` pairs are stripped
                                                 k = node_codes[x]
-                                                if k is None:
-                                                    y = payload[x]
-                                                    if type(y) is int:  # a negation
-                                                        k = node_codes[y]
-                                                        if k is None:
-                                                            z = payload[y]
-                                                            if type(z) is int:  # x is !!z: strip the tower
-                                                                while True:
-                                                                    strips += 1
-                                                                    k = node_codes[z]
-                                                                    if k is not None:
-                                                                        memo += 1
-                                                                        break
-                                                                    y = payload[z]
-                                                                    if type(y) is int:  # a negation
-                                                                        k = node_codes[y]
-                                                                        if k is None:
-                                                                            w = payload[y]
-                                                                            if type(w) is int:  # !!w
-                                                                                z = w
-                                                                                continue
-                                                                            if type(w) is tuple:
-                                                                                break  # r needs a frame
-                                                                            visited += 1  # the leaf y
-                                                                            k = codes.get(w)
-                                                                            if k is None:
-                                                                                k = 2 * len(classes)
-                                                                                classes.append(w)
-                                                                            node_codes[y] = k
-                                                                        else:
-                                                                            memo += 1
-                                                                        if k == ZERO_CODE:
-                                                                            a10 += 1
-                                                                        elif k == ONE_CODE:
-                                                                            a11 += 1
-                                                                        k ^= 1
-                                                                    elif type(y) is tuple:
-                                                                        break  # r needs a frame
-                                                                    else:  # a leaf
-                                                                        k = codes.get(y)
-                                                                        if k is None:
-                                                                            k = 2 * len(classes)
-                                                                            classes.append(y)
-                                                                    visited += 1
-                                                                    node_codes[z] = k
-                                                                    break
-                                                                # the stripped pairs stay uncoded, as
-                                                                # where a `!!` child is queued
-                                                                if k is None:
-                                                                    break
-                                                                if k == ZERO_CODE:
-                                                                    continue
-                                                                if k & 1 or type(classes[k >> 1]) is not tuple:
-                                                                    kids.append(k)
-                                                                else:
-                                                                    kid_joins.append(k)
-                                                                continue
-                                                            if type(z) is tuple:
-                                                                break  # r needs a frame
-                                                            visited += 1  # the leaf y
-                                                            k = codes.get(z)
-                                                            if k is None:
-                                                                k = 2 * len(classes)
-                                                                classes.append(z)
-                                                            node_codes[y] = k
-                                                        else:
-                                                            memo += 1
-                                                        if k == ZERO_CODE:
-                                                            a10 += 1
-                                                        elif k == ONE_CODE:
-                                                            a11 += 1
-                                                        k ^= 1
-                                                    elif type(y) is tuple:
-                                                        break  # r needs a frame
-                                                    else:  # a leaf
-                                                        k = codes.get(y)
+                                                if k is not None:
+                                                    memo += 1
+                                                    break
+                                                y = payload[x]
+                                                if type(y) is int:  # a negation
+                                                    k = node_codes[y]
+                                                    if k is None:
+                                                        z = payload[y]
+                                                        if type(z) is int:  # x is !!z: strip the pair, left uncoded
+                                                            strips += 1
+                                                            x = z
+                                                            continue
+                                                        if type(z) is tuple:
+                                                            break  # r needs a frame
+                                                        visited += 1  # the leaf y
+                                                        k = codes.get(z)
                                                         if k is None:
                                                             k = 2 * len(classes)
-                                                            classes.append(y)
-                                                    visited += 1
-                                                    node_codes[x] = k
-                                                else:
-                                                    memo += 1
-                                                if k == ZERO_CODE:
-                                                    continue  # dropped, counted if the join is coded
-                                                if k & 1 or type(classes[k >> 1]) is not tuple:
-                                                    kids.append(k)
-                                                else:
-                                                    kid_joins.append(k)
-                                            else:
-                                                drops += len(q) - len(kids) - len(kid_joins)
-                                                c = finish_join(kids, kid_joins)
-                                            if c is None:
-                                                strips = stripped  # counted again when r's frame strips them
-                                                batch.append(r)
-                                                continue
-                                        else:  # a leaf
-                                            c = codes.get(q)
-                                            if c is None:
-                                                c = 2 * len(classes)
-                                                classes.append(q)
-                                        visited += 1  # p
-                                        node_codes[p] = c
-                                    else:
-                                        memo += 1
-                                    if c == ZERO_CODE:
-                                        a10 += 1
-                                    elif c == ONE_CODE:
-                                        a11 += 1
-                                    c ^= 1
-                                else:  # a leaf
-                                    c = codes.get(p)
-                                    if c is None:
-                                        c = 2 * len(classes)
-                                        classes.append(p)
-                                visited += 1
-                                node_codes[r] = c
-                            if c == ZERO_CODE:
-                                drops += 1
-                            elif c & 1 or type(classes[c >> 1]) is not tuple:
-                                acc.append(c)
-                            else:  # a join class: its members are merged apart
-                                joins.append(c)
-                        if scheduling and len(batch) > 1:
-                            sizes = self._sizes
-                            self.arena._add_tree_sizes(batch, sizes)
-                            batch.sort(key=sizes.__getitem__)
-                        batch.reverse()
-                        todo += batch
-                    elif code is not None:
-                        if code == ZERO_CODE:
+                                                            classes.append(z)
+                                                        node_codes[y] = k
+                                                    else:
+                                                        memo += 1
+                                                    if k == ZERO_CODE:
+                                                        a10 += 1
+                                                    elif k == ONE_CODE:
+                                                        a11 += 1
+                                                    k ^= 1
+                                                elif type(y) is tuple:
+                                                    break  # r needs a frame
+                                                else:  # a leaf
+                                                    k = codes.get(y)
+                                                    if k is None:
+                                                        k = 2 * len(classes)
+                                                        classes.append(y)
+                                                visited += 1
+                                                node_codes[x] = k
+                                                break
+                                            if k is None:
+                                                break
+                                            if k != ZERO_CODE:  # a 0 is dropped, counted if the join is coded
+                                                kids.append(k)
+                                        else:
+                                            drops += len(q) - len(kids)
+                                            c = finish_join(kids)
+                                        if c is None:
+                                            strips = stripped  # counted again when r's frame strips them
+                                            batch.append(r)
+                                            continue
+                                    else:  # a leaf
+                                        c = codes.get(q)
+                                        if c is None:
+                                            c = 2 * len(classes)
+                                            classes.append(q)
+                                    visited += 1  # p
+                                    node_codes[p] = c
+                                else:
+                                    memo += 1
+                                if c == ZERO_CODE:
+                                    a10 += 1
+                                elif c == ONE_CODE:
+                                    a11 += 1
+                                c ^= 1
+                            else:  # a leaf
+                                c = codes.get(p)
+                                if c is None:
+                                    c = 2 * len(classes)
+                                    classes.append(p)
+                            visited += 1
+                            node_codes[r] = c
+                        if c == ZERO_CODE:
                             drops += 1
-                        elif code & 1 or type(classes[code >> 1]) is not tuple:
-                            acc.append(code)
                         else:
-                            joins.append(code)
-                        code = None
-                    if not todo:
-                        code = finish_join(acc, joins)
-                        node_codes[node] = code
-                        neg = frame_neg  # delivered with its code, negated if set
-                        stack.pop()
-                    elif scheduling and not acc and not joins and len(todo) == 1:
-                        # Everything processed so far vanished: the join *is*
-                        # its one remaining (largest) child, a negated join.
-                        # Hand the child up structurally instead of coding this
-                        # join: the frame's own negation cancels the child's.
-                        collapses += 1
-                        seam = todo[0]
-                        stack.pop()
-                        if frame_neg is not None:
-                            strips += 1
-                            seam = payload[seam]
-                        if stack:
-                            incoming = (seam,)  # queued in the enclosing frame
-                        else:
-                            current = seam  # resolved in place
+                            acc.append(c)
+                    if scheduling and len(batch) > 1:
+                        sizes = self._sizes
+                        self.arena._add_tree_sizes(batch, sizes)
+                        batch.sort(key=sizes.__getitem__)
+                    batch.reverse()
+                    todo += batch
+                elif code is not None:
+                    if code == ZERO_CODE:
+                        drops += 1
                     else:
-                        current = todo.pop()
+                        acc.append(code)
+                    code = None
+                if not todo:
+                    code = finish_join(acc)
+                    node_codes[node] = code
+                    neg = frame_neg  # delivered with its code, negated if set
+                    stack.pop()
+                elif scheduling and not acc and len(todo) == 1:
+                    # Everything processed so far vanished: the join *is*
+                    # its one remaining (largest) child, a negated join.
+                    # Hand the child up structurally instead of coding this
+                    # join: the frame's own negation cancels the child's.
+                    collapses += 1
+                    seam = todo[0]
+                    stack.pop()
+                    if frame_neg is not None:
+                        strips += 1
+                        seam = payload[seam]
+                    if stack:
+                        incoming = (seam,)  # queued in the enclosing frame
+                    else:
+                        current = seam  # resolved in place
+                else:
+                    current = todo.pop()
         finally:
             stats = self.stats
             stats.nodes_visited += visited
@@ -546,46 +499,49 @@ class Session:
             stats.a3_dedups += dedups
             stats.codes_allocated += len(classes) - numbered
 
-    def _finish_join(self, acc: list[int], joins: list[int]) -> int:
-        """Code of a join whose children have the nonzero codes `acc` and `joins`.
+    def _finish_join(self, acc: list[int]) -> int:
+        """Code of a join whose children have the nonzero codes `acc`.
 
-        `joins` holds the children that name join classes: their members
-        are merged in.  Deduplicates, and checks for annihilation (A4, A7,
-        A9) before looking up or allocating the class of the remaining
-        codes.  Takes `acc` over as the list of merged codes.
+        The one place that tells a join class from another code: a code
+        that names a join class is replaced by its members (A2).
+        Deduplicates, and checks for annihilation (A4, A7, A9) before
+        looking up or allocating the class of the remaining codes.
 
-        Two codes and no join class, the commonest join, are decided by
-        compares: equal codes collapse to one (A3), a pair c, c ^ 1 gives 1
-        (A7), and any other pair is keyed as the general merge keys it.  No
-        A9 probe is needed: a join class has at least two members, none of
-        them the probed code, so it fits only a join of three codes or more
-        (the general loop skips it unprobed too).
+        Two codes, neither naming a join class, the commonest join, are
+        decided by compares: equal codes collapse to one (A3), a pair c,
+        c ^ 1 gives 1 (A7), and any other pair is keyed as the general merge
+        keys it.  No A9 probe is needed: a join class has at least two
+        members, none of them the probed code, so it fits only a join of
+        three codes or more (the general loop skips it unprobed too).
         """
         stats = self.stats
         if ONE_CODE in acc:
             stats.a4_hits += 1
             return ONE_CODE
         classes = self._classes
-        if not joins and len(acc) == 2:  # the commonest join: decided by compares
-            stats.merge_work += 2
+        if len(acc) == 2:
             a, b = acc
-            if a == b:
-                stats.a3_dedups += 1
-                stats.a2b_collapses += 1
-                return a
-            if a ^ b == 1:
-                stats.a7_hits += 1
-                return ONE_CODE
-            key = (a, b) if a < b else (b, a)
-            code = self._codes.get(key)
-            if code is None:
-                code = self._codes[key] = 2 * len(classes)
-                classes.append(key)
-            return code
-        flat = acc
-        if joins:
-            stats.a2_flattens += len(joins)
-            for c in joins:
+            if (a & 1 or type(classes[a >> 1]) is not tuple) and (b & 1 or type(classes[b >> 1]) is not tuple):
+                stats.merge_work += 2
+                if a == b:
+                    stats.a3_dedups += 1
+                    stats.a2b_collapses += 1
+                    return a
+                if a ^ b == 1:
+                    stats.a7_hits += 1
+                    return ONE_CODE
+                key = (a, b) if a < b else (b, a)
+                code = self._codes.get(key)
+                if code is None:
+                    code = self._codes[key] = 2 * len(classes)
+                    classes.append(key)
+                return code
+        flat = []  # acc with each join class replaced by its members
+        for c in acc:
+            if c & 1 or type(classes[c >> 1]) is not tuple:
+                flat.append(c)
+            else:
+                stats.a2_flattens += 1
                 flat += classes[c >> 1]
         stats.merge_work += len(flat)
         present = set(flat)

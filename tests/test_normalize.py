@@ -628,18 +628,23 @@ def _session_with_every_kind_of_code():
 
 
 def test_two_code_join_is_decided_as_the_general_merge_decides_it():
-    # every ordered pair (a, b), through the two-code branch and through the
-    # general merge on [a, b, a]: the same code, class numbering and rule
-    # counters; the general path merged and dropped one code more
+    # every ordered pair (a, b), through `_finish_join` on [a, b] and through
+    # the general merge on [a, b, a]: the same code and class numbering.  A
+    # pair with a join-class code takes the general merge on [a, b] too;
+    # any other pair takes the two-code branch, with the same rule counters,
+    # where the general path merged and dropped one code more
     quick, general = _session_with_every_kind_of_code(), _session_with_every_kind_of_code()
     codes = range(2 * len(quick._classes))
     branches = collections.Counter()
     for a in codes:
         for b in codes:
             before_quick, before_general = vars(quick.stats).copy(), vars(general.stats).copy()
-            code = quick._finish_join([a, b], [])
-            assert code == general._finish_join([a, b, a], []), (a, b)
+            code = quick._finish_join([a, b])
+            assert code == general._finish_join([a, b, a]), (a, b)
             assert quick._classes == general._classes and quick._codes == general._codes, (a, b)
+            if quick.join_class_members(a) or quick.join_class_members(b):
+                branches["merge"] += 1
+                continue
             quick_delta = {k: v - before_quick[k] for k, v in vars(quick.stats).items()}
             general_delta = {k: v - before_general[k] for k, v in vars(general.stats).items()}
             extra = 0 if ONE_CODE in (a, b) else 1  # A4 returns before any merge
@@ -647,7 +652,7 @@ def test_two_code_join_is_decided_as_the_general_merge_decides_it():
                 assert general_delta.pop(name) - quick_delta.pop(name) == extra, (a, b, name)
             assert quick_delta == general_delta, (a, b)
             branches["A4" if extra == 0 else "A3" if a == b else "A7" if a ^ b == 1 else "class"] += 1
-    assert set(branches) == {"A3", "A4", "A7", "class"}, branches
+    assert branches["merge"] == 155 and set(branches) == {"A3", "A4", "A7", "class", "merge"}, branches
 
 
 @pytest.mark.parametrize(
@@ -907,6 +912,44 @@ def test_golden_towers_in_a_scanned_join(texts, printed, counters):
         assert rw.oracle_equivalent(arena.export_tree(ref), arena.export_tree(nf_ref)), text
     assert s.stats == Stats(**counters)
     assert s._sizes == {}  # no frame had two negated joins to sort
+
+
+class _ReadLog(list):
+    """A class table that counts its reads by the name of the reading function."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.readers = collections.Counter()
+
+    def __getitem__(self, index):
+        self.readers[sys._getframe(1).f_code.co_name] += 1
+        return super().__getitem__(index)
+
+
+def _golden_formulas():
+    """The formulas of every golden case above, in lists that share a session."""
+    for test in (test_golden_two_code_joins, test_golden_stats_and_normal_form, test_golden_towers_in_a_scanned_join):
+        (mark,) = (m for m in test.pytestmark if m.name == "parametrize")
+        for case in mark.args[1]:
+            first = case.values[0] if hasattr(case, "values") else case[0]
+            yield [parse(text) for text in first] if type(first) is list else [first]
+
+
+def test_only_finish_join_reads_the_class_table():
+    # the fused pass appends the names of new variables and reads no class
+    # key: `_finish_join` alone tells a join class from another code.  Not
+    # part of the call-count test, as every read here is a Python call
+    inputs = [[gen_family(family, family_scale(family, 2**10))] for family in FAMILIES]
+    readers = collections.Counter()
+    for formulas in inputs + list(_golden_formulas()):
+        for scheduling in (True, False):
+            arena = Arena()
+            s = Session(arena, size_scheduling=scheduling)
+            s._classes = log = _ReadLog(s._classes)
+            for f in formulas:
+                s.normalize(to_internal(f, arena))
+            readers += log.readers
+    assert list(readers) == ["_finish_join"], readers
 
 
 STATS_FIELDS = [

@@ -16,8 +16,9 @@ def show(text):
 
 
 print("Every class of equal terms gets one integer code within a session.")
-print("Codes pair up: the complement of class 2k is class 2k+1, and the")
-print("constants own the reserved pair 0/1.")
+print("Codes pair up: the complement of code c is c ^ 1, and the constants")
+print("own the reserved pair 0/1.  A variable's code is 4(r+1), r being its")
+print("leaf's ref, and join class j's is 4j+2, so a code's low bits give its kind.")
 show("0")
 show("1")
 show("a")

@@ -34,4 +34,4 @@ code = session.normalize(t)
 elapsed = time.perf_counter() - start
 print(f"  expanded tree {arena.tree_size(t):.3e} nodes, arena {len(arena)} nodes")
 print(f"  normalized to code {code} in {elapsed * 1000:.2f} ms "
-      f"({session.stats.codes_allocated} code pair allocated)")
+      f"({session.stats.codes_allocated} join classes numbered: every level is a | a = a)")

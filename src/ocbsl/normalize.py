@@ -5,15 +5,17 @@ under the join/negation rewrite rules (see `rewrite` for the rule set and
 an independent engine for it).  Two terms normalized in the same session
 are equivalent exactly when their codes are equal.
 
-Codes come in plain/negated pairs: a class gets an even code 2k and its
-complement 2k+1, so negating a coded term is one XOR.  Codes 0 and 1 are
-reserved for the constants, which makes `!0 = 1` and `!1 = 0` structural:
-class 0's keys are the constants' leaf texts "0" and "1", so every leaf is
-coded by one lookup of its payload in `Session._codes`.  That dict holds
-the constants and the join keys only: the arena hash-conses leaves, so a
-variable's leaf is the one node with its name, and a miss gives it a new
-class without recording the name.  A node's code is memoized in a list
-indexed by its ref (refs are dense).
+Codes come in plain/negated pairs, so negating a coded term is one XOR
+(`c ^ 1`), and a code's two low bits give its kind.  Codes 0 and 1 are the
+constants, which makes `!0 = 1` and `!1 = 0` structural.  The variable
+whose leaf has ref r has code 4(r+1), its complement 4(r+1)+1: the arena
+hash-conses leaves, so a variable's leaf is the one node with its name.
+Join class j has code 4j+2, its complement 4j+3: `c & 3 == 2` names a
+join class, and `Session._classes[c >> 2]` holds its sorted member codes.
+So every leaf is coded by one lookup of its payload in `Session._codes`,
+which holds the constants' texts "0" and "1" and the join keys only: a
+miss is a variable, coded by its ref.  A node's code is memoized in a
+list indexed by its ref (refs are dense).
 
 The traversal is a single fused pass: one loop over one stack of the
 join frames (plain tuples) being filled, each holding the negation that
@@ -47,7 +49,7 @@ so chain-shaped inputs of any depth are fine):
   of them.
 
 Complement detection happens on the set of a join's m merged codes: a
-pair (2k, 2k+1) shares the class number k, and a negated join class
+pair (c, c ^ 1) is one XOR apart, and a negated join class
 whose member set is contained in the child set annihilates the join to 1
 (A9).  The A9 check stays linear in the join: the set is built once, in
 O(m); one probe costs |members| of that class, which is at most the tree
@@ -111,7 +113,7 @@ class Stats:
         # queued, or where a scan meets it (or its negation); a child coded
         # by a scan that stopped is met again when its join's frame opens
         "memo_hits",
-        "codes_allocated",  # plain/negated pairs
+        "codes_allocated",  # join classes numbered (each a plain/negated code pair)
         "merge_work",  # child codes merged, before deduplication
         "a9_probe_work",  # member codes probed by the A9 check
     )
@@ -155,14 +157,13 @@ class Session:
     every join is coded).  Verdicts are unchanged; only the cost profile
     degrades.  Exists so the degradation is measurable.
 
-    `_classes` lists the classes in the order they are numbered: class k
-    (codes 2k and 2k+1) is keyed by a variable's name or a join's sorted
-    member codes.  `_codes` maps a key back to its code for the constants
-    and the joins only.  Class 0 is the constants: its keys are the leaf
-    texts "0" (code 0) and "1" (code 1), there from the start and not
-    counted in `codes_allocated`.  A variable's class is numbered when its
-    leaf is first normalized; its leaf is the only node with that name, and
-    the leaf's code is memoized, so the name is never looked up again.
+    The session numbers join classes only (see the module docstring for
+    the code layout).  `_classes` lists them in the order `_finish_join`
+    numbers them, each counted in `codes_allocated`: class j (codes 4j+2
+    and 4j+3) is keyed by its sorted member codes.  `_codes` maps a key
+    back to its code, and the constants' leaf texts "0" and "1" to theirs.
+    A variable needs no entry: its code comes from its leaf's ref, the
+    only node with that name.
     """
 
     def __init__(self, arena: Arena, size_scheduling: bool = True):
@@ -170,18 +171,9 @@ class Session:
         self.size_scheduling = size_scheduling
         self.stats = Stats()
         self._node_codes: list = []  # TermRef -> code, or None if not coded yet
-        self._classes: list = [None]  # class k -> its key; slot 0 is the constants
+        self._classes: list = []  # join class j -> its sorted member codes
         self._codes: dict = {"0": ZERO_CODE, "1": ONE_CODE}  # constant or join key -> its code
         self._sizes: dict = {}  # TermRef -> expanded tree size, for the schedule's sorts
-
-    # -- the class table -------------------------------------------------------
-
-    def _class_key(self, code: int):
-        """Key of code's class (None for the constants); rejects unassigned codes."""
-        # exactly int: a bool is an int too, and True would pass for code 1
-        if not (type(code) is int and 0 <= code < 2 * len(self._classes)):
-            raise ValueError(f"code {code!r} was never assigned in this session")
-        return self._classes[code >> 1]
 
     # -- public API ------------------------------------------------------------
 
@@ -200,9 +192,20 @@ class Session:
         return self.normalize(a) == self.normalize(b)
 
     def join_class_members(self, code: int) -> tuple[int, ...] | None:
-        """Sorted member codes if `code` names a join class, else None."""
-        key = self._class_key(code)
-        return key if type(key) is tuple and not code & 1 else None
+        """Sorted member codes if `code` names a join class, else None.
+
+        Rejects a code this session never assigned: a join code past the
+        class table, or a variable code whose leaf it never coded.
+        """
+        # exactly int: a bool is an int too, and True would pass for code 1
+        if type(code) is int and code >= 0:
+            k = code >> 2
+            if code & 2:
+                if k < len(self._classes):
+                    return None if code & 1 else self._classes[k]
+            elif code < 2 or k <= len(self._node_codes) and self._node_codes[k - 1] == code & ~1:
+                return None
+        raise ValueError(f"code {code!r} was never assigned in this session")
 
     def extract_normal_form(self, code: int) -> int:
         """A term whose normalization yields `code`; join children ascend by code.
@@ -210,10 +213,10 @@ class Session:
         Visits each code once: a popped code pushes the marker `~c`, then its
         parts (`c ^ 1`, or a join's members), and the marker interns the node.
         """
-        self._class_key(code)
-        # Every name and code in the class table came from this arena, so
-        # the checks of `var`, `neg` and `join` are redundant: each node is
-        # interned inline, as `Arena._intern` would.
+        self.join_class_members(code)  # rejects a code never assigned
+        # Every code in the class table came from this arena, so the checks
+        # of `neg` and `join` are redundant: each node is interned inline, as
+        # `Arena._intern` would, and a variable's code names its leaf.
         payload, memo = self.arena._payload, self.arena._memo
         classes = self._classes
         built: dict[int, int] = {}
@@ -225,7 +228,7 @@ class Session:
                 if c & 1:
                     p = built[c ^ 1]
                 else:
-                    p = tuple(map(built.__getitem__, classes[c >> 1]))
+                    p = tuple(map(built.__getitem__, classes[c >> 2]))
             elif c in built:
                 continue
             elif c < 2:  # the constants: code 1 is the leaf "1", not !0
@@ -233,12 +236,13 @@ class Session:
             elif c & 1:
                 stack += (~c, c ^ 1)
                 continue
-            else:
-                p = classes[c >> 1]  # a name, or a join's member codes
-                if type(p) is tuple:
-                    stack.append(~c)
-                    stack += p
-                    continue
+            elif c & 2:  # a join class
+                stack.append(~c)
+                stack += classes[c >> 2]
+                continue
+            else:  # a variable: its leaf
+                built[c] = (c >> 2) - 1
+                continue
             ref = memo.get(p)
             if ref is None:
                 ref = memo[p] = len(payload)
@@ -252,18 +256,18 @@ class Session:
     # todo, seen): the join's ref, the negation of it being resolved (or
     # None), the nonzero codes of finished children, the negated joins
     # still queued and the refs received.  `acc` takes every nonzero code,
-    # join classes too: only `_finish_join` tells a join class from another
-    # code, so the pass reads no class key and only appends the names of
-    # new variables to `_classes`.  As `todo` holds only negated joins, only
-    # the root's frame, or that of a seam resolved at the root, has neg
-    # None.  A finished frame's code is negated on delivery, like any code
-    # under a negation.  `todo` is sorted by tree size, largest first, so
-    # `pop()` takes the smallest child.  Only a batch of two or more negated
-    # joins is sorted: `Arena._add_tree_sizes` enters the sizes the sort
-    # reads, and those of the nodes under them, in the session's `_sizes`,
-    # stopping at the sizes already there.  So each ref's size is computed
-    # at most once per session, and none when no frame has two negated
-    # joins to order.
+    # join classes too: only `_finish_join` splits a join class into its
+    # members, and the pass never touches `_classes`, as a leaf's code is a
+    # constant's or comes from its own ref.  As `todo` holds only negated
+    # joins, only the root's frame, or that of a seam resolved at the root,
+    # has neg None.  A finished frame's code is negated on delivery, like
+    # any code under a negation.  `todo` is sorted by tree size, largest
+    # first, so `pop()` takes the smallest child.  Only a batch of two or
+    # more negated joins is sorted: `Arena._add_tree_sizes` enters the sizes
+    # the sort reads, and those of the nodes under them, in the session's
+    # `_sizes`, stopping at the sizes already there.  So each ref's size is
+    # computed at most once per session, and none when no frame has two
+    # negated joins to order.
     #
     # Each turn of the one loop resolves `current`, if set, then delivers a
     # code to the top frame and advances it.  One block queues children: it
@@ -291,7 +295,7 @@ class Session:
     def _run(self, root: int) -> int:
         payload = self.arena._payload
         node_codes = self._node_codes
-        codes, classes = self._codes, self._classes
+        codes = self._codes
         finish_join = self._finish_join
         scheduling = self.size_scheduling
         stack: list = []  # join frames
@@ -301,7 +305,6 @@ class Session:
         incoming = None  # refs to queue in the top frame
         # added to self.stats at the end
         visited = memo = flattens = drops = strips = collapses = a10 = a11 = dedups = 0
-        numbered = len(classes)  # classes numbered before this pass
         try:
             while True:
                 if current is not None:  # resolve it into a code, or push a frame for it
@@ -323,12 +326,8 @@ class Session:
                             stack.append((current, neg, [], [], set()))
                             neg = None
                             incoming = p
-                        else:  # a leaf: a constant, or a variable met for the first time
-                            code = codes.get(p)
-                            if code is None:  # a new class keyed by the name, as in `_finish_join`
-                                code = 2 * len(classes)
-                                classes.append(p)
-                            node_codes[current] = code
+                        else:  # a leaf: a constant, or the variable coded by its ref
+                            code = node_codes[current] = codes.get(p, 4 * current + 4)
                     current = None
 
                 # Deliver the code, then advance the top frame.
@@ -394,11 +393,7 @@ class Session:
                                                         if type(z) is tuple:
                                                             break  # r needs a frame
                                                         visited += 1  # the leaf y
-                                                        k = codes.get(z)
-                                                        if k is None:
-                                                            k = 2 * len(classes)
-                                                            classes.append(z)
-                                                        node_codes[y] = k
+                                                        k = node_codes[y] = codes.get(z, 4 * y + 4)
                                                     else:
                                                         memo += 1
                                                     if k == ZERO_CODE:
@@ -409,10 +404,7 @@ class Session:
                                                 elif type(y) is tuple:
                                                     break  # r needs a frame
                                                 else:  # a leaf
-                                                    k = codes.get(y)
-                                                    if k is None:
-                                                        k = 2 * len(classes)
-                                                        classes.append(y)
+                                                    k = codes.get(y, 4 * x + 4)
                                                 visited += 1
                                                 node_codes[x] = k
                                                 break
@@ -428,10 +420,7 @@ class Session:
                                             batch.append(r)
                                             continue
                                     else:  # a leaf
-                                        c = codes.get(q)
-                                        if c is None:
-                                            c = 2 * len(classes)
-                                            classes.append(q)
+                                        c = codes.get(q, 4 * p + 4)
                                     visited += 1  # p
                                     node_codes[p] = c
                                 else:
@@ -442,10 +431,7 @@ class Session:
                                     a11 += 1
                                 c ^= 1
                             else:  # a leaf
-                                c = codes.get(p)
-                                if c is None:
-                                    c = 2 * len(classes)
-                                    classes.append(p)
+                                c = codes.get(p, 4 * r + 4)
                             visited += 1
                             node_codes[r] = c
                         if c == ZERO_CODE:
@@ -497,15 +483,14 @@ class Session:
             stats.a10_hits += a10
             stats.a11_hits += a11
             stats.a3_dedups += dedups
-            stats.codes_allocated += len(classes) - numbered
 
     def _finish_join(self, acc: list[int]) -> int:
         """Code of a join whose children have the nonzero codes `acc`.
 
-        The one place that tells a join class from another code: a code
-        that names a join class is replaced by its members (A2).
-        Deduplicates, and checks for annihilation (A4, A7, A9) before
-        looking up or allocating the class of the remaining codes.
+        The one place that splits a join class: a code whose low bits name
+        one (`c & 3 == 2`) is replaced by its members (A2).  Deduplicates,
+        and checks for annihilation (A4, A7, A9) before looking up or
+        numbering the class of the remaining codes.
 
         Two codes, neither naming a join class, the commonest join, are
         decided by compares: equal codes collapse to one (A3), a pair c,
@@ -521,7 +506,7 @@ class Session:
         classes = self._classes
         if len(acc) == 2:
             a, b = acc
-            if (a & 1 or type(classes[a >> 1]) is not tuple) and (b & 1 or type(classes[b >> 1]) is not tuple):
+            if a & 3 != 2 and b & 3 != 2:
                 stats.merge_work += 2
                 if a == b:
                     stats.a3_dedups += 1
@@ -533,16 +518,17 @@ class Session:
                 key = (a, b) if a < b else (b, a)
                 code = self._codes.get(key)
                 if code is None:
-                    code = self._codes[key] = 2 * len(classes)
+                    code = self._codes[key] = 4 * len(classes) + 2
                     classes.append(key)
+                    stats.codes_allocated += 1
                 return code
         flat = []  # acc with each join class replaced by its members
         for c in acc:
-            if c & 1 or type(classes[c >> 1]) is not tuple:
-                flat.append(c)
-            else:
+            if c & 3 == 2:
                 stats.a2_flattens += 1
-                flat += classes[c >> 1]
+                flat += classes[c >> 2]
+            else:
+                flat.append(c)
         stats.merge_work += len(flat)
         present = set(flat)
         stats.a3_dedups += len(flat) - len(present)
@@ -556,9 +542,9 @@ class Session:
         # one of the m codes and not a member, so m or more members never fit.
         m = len(codes)
         for c in codes:
-            if c & 1:
-                members = classes[c >> 1]
-                if type(members) is not tuple or len(members) >= m:
+            if c & 3 == 3:
+                members = classes[c >> 2]
+                if len(members) >= m:
                     continue
                 stats.a9_probe_work += len(members)
                 if present.issuperset(members):
@@ -571,6 +557,7 @@ class Session:
             return codes[0]
         code = self._codes.get(codes)
         if code is None:
-            code = self._codes[codes] = 2 * len(classes)
+            code = self._codes[codes] = 4 * len(classes) + 2
             classes.append(codes)
+            stats.codes_allocated += 1
         return code

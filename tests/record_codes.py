@@ -71,6 +71,8 @@ CI runs it and checks both outputs against the digests in
 Update the ``out.jsonl`` line only in a change that alters codes, refs or
 counters on purpose, and the ``verdicts.jsonl`` line only in one that
 alters verdicts or normal forms on purpose; say why in the change.
+``tests/diff_codes.py OLD NEW`` shows what such a re-record moved: the
+rows that differ per field, and the rows where each counter rose or fell.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from ocbsl import rewrite as rw
 from ocbsl.bench import FAMILIES, family_scale, gen_family
 from ocbsl.syntax import And, Not, Or, Var, formula_nodes, print_formula
 from enum_terms import enumerate_terms
+from gen import random_formula
 
 
 def fresh():
@@ -29,7 +30,7 @@ def test_reserved_codes():
     assert s.normalize(arena.neg(arena.one())) == 0  # !1 = 0
     assert s.normalize(arena.join((arena.zero(), arena.one()))) == 1
     assert s.stats.codes_allocated == 0  # the constants allocate no class
-    assert s.normalize(arena.var("a")) == 2
+    assert s.normalize(arena.var("a")) == 24  # the variable of leaf ref 5: 4 * (5 + 1)
 
 
 def test_neg_pairing():
@@ -154,18 +155,19 @@ def test_extract_normal_form():
     with pytest.raises(ValueError):
         s.extract_normal_form(99999)
     # of the root's two negated members, the first is the input's own
-    # !(!(b | a) | d), found in the memo, and the last, !(c | !(b | a)),
-    # is interned before the root
+    # !(!(b | a) | d), found in the memo, and the second, !(!(b | a) | c),
+    # is interned before the root; e, whose leaf has the largest ref, is last
     arena, s = fresh()
     nf_ref = s.extract_normal_form(code_of(s, "!(!(b | a) | d) | !(c | !(a | b)) | e"))
-    assert arena._payload[nf_ref] == (arena.var("e"), 6, 15)
-    assert [print_term(arena, r) for r in (6, 15)] == ["!(!(b | a) | d)", "!(c | !(b | a))"]
-    # a post-order that takes members last to first: !(c | !(b | a)), the
-    # root's last member, is interned before !(d | !(b | a))
+    assert arena._payload[nf_ref] == (6, 15, arena.var("e"))
+    assert [print_term(arena, r) for r in (6, 15)] == ["!(!(b | a) | d)", "!(!(b | a) | c)"]
+    # d's leaf has ref 0, so its code 4 is the root's smallest member,
+    # below the negated join classes' 7 and 11; !(!(b | a) | d) is the
+    # input's own node again
     arena, s = fresh()
     nf_ref = s.extract_normal_form(code_of(s, "d | !(!(b | a) | d) | !(c | !(a | b)) | e"))
-    assert arena._payload[nf_ref] == (arena.var("d"), arena.var("e"), 17, 15)
-    assert [print_term(arena, r) for r in (15, 17)] == ["!(c | !(b | a))", "!(d | !(b | a))"]
+    assert arena._payload[nf_ref] == (arena.var("d"), 6, 15, arena.var("e"))
+    assert [print_term(arena, r) for r in (6, 15)] == ["!(!(b | a) | d)", "!(!(b | a) | c)"]
 
 
 def test_extract_takes_a_name_of_a_str_subclass():
@@ -250,8 +252,8 @@ def test_scheduling_skips_intermediate_classes():
         f = gen_family("fig7", n)
         s1.normalize(to_internal(f, arena1))
         s2.normalize(to_internal(f, arena2))
-        # n+2 x-vars, n fresh v-vars, the innermost pair class, the result
-        assert s1.stats.codes_allocated == 2 * n + 4
+        # the innermost pair class and the result (variables number no class)
+        assert s1.stats.codes_allocated == 2
         # stored order codes one growing class per revealed level instead
         assert s2.stats.codes_allocated == s1.stats.codes_allocated + (n - 1)
 
@@ -513,6 +515,19 @@ def test_work_is_quasilinear_in_dag_size_on_a_shared_tail():
     assert s.stats.a2_flattens + s.stats.merge_work <= size * math.log2(size) ** 2, (size, s.stats)
 
 
+@pytest.mark.xfail(strict=True, reason="a join spliced into its parent is never coded, so every sub-chain splices it again")
+def test_work_is_quasilinear_when_every_ref_of_a_chain_is_normalized():
+    # the fig6 chain's root, then every other ref top down, on a tree: each
+    # normalize(r) on a sub-chain splices and merges the whole rest of it
+    # again, so a2_flattens and merge_work are each about n^2 / 2
+    arena, s = fresh()
+    s.normalize(to_internal(gen_family("fig6", family_scale("fig6", 2**10)), arena))
+    for r in reversed(range(len(arena))):
+        s.normalize(r)
+    size = len(arena)
+    assert s.stats.a2_flattens + s.stats.merge_work <= size * math.log2(size) ** 2, (size, s.stats)
+
+
 def test_work_gate_catches_stored_order():
     # the gate's negative control: without the smallest-first schedule,
     # fig7 re-merges each growing class (about 21 codes per node)
@@ -555,18 +570,18 @@ def test_negated_join_of_leaves_is_coded_where_it_is_queued():
     arena = Arena()
     x, a = arena.var("x"), arena.var("a")
     assert _frame_free(arena, arena.join((x, arena.neg(arena.join((a, a)))))) == Stats(
-        a2b_collapses=1, a3_dedups=1, nodes_visited=5, memo_hits=1, codes_allocated=3, merge_work=4
+        a2b_collapses=1, a3_dedups=1, nodes_visited=5, memo_hits=1, codes_allocated=1, merge_work=4
     )
     # !(a | 1) is 0 by A4 inside, then A11; x | !(a | 0) drops the 0 inside (A5)
     assert _frame_free(arena, arena.join((x, arena.neg(arena.join((a, arena.one())))))) == Stats(
-        a2b_collapses=1, a4_hits=1, a5_drops=1, a11_hits=1, nodes_visited=6, codes_allocated=2, merge_work=1
+        a2b_collapses=1, a4_hits=1, a5_drops=1, a11_hits=1, nodes_visited=6, codes_allocated=0, merge_work=1
     )
     assert _frame_free(arena, arena.join((x, arena.neg(arena.join((a, arena.zero())))))) == Stats(
-        a2b_collapses=1, a5_drops=1, nodes_visited=6, codes_allocated=3, merge_work=3
+        a2b_collapses=1, a5_drops=1, nodes_visited=6, codes_allocated=1, merge_work=3
     )
     # x | !(a | !a): the join is 1 by A7, its negation 0 and dropped
     assert _frame_free(arena, arena.join((x, arena.neg(arena.join((a, arena.neg(a))))))) == Stats(
-        a2b_collapses=1, a5_drops=1, a7_hits=1, a11_hits=1, nodes_visited=6, memo_hits=1, codes_allocated=2,
+        a2b_collapses=1, a5_drops=1, a7_hits=1, a11_hits=1, nodes_visited=6, memo_hits=1, codes_allocated=0,
         merge_work=3,
     )
 
@@ -575,7 +590,7 @@ def test_frame_free_join_at_the_root_and_at_the_seam():
     # a root is resolved, not queued: a join of leaves there opens a frame
     arena = Arena()
     a, b = arena.var("a"), arena.var("b")
-    assert _frame_free(arena, arena.neg(arena.join((a, b)))) == Stats(nodes_visited=4, codes_allocated=3, merge_work=2)
+    assert _frame_free(arena, arena.neg(arena.join((a, b)))) == Stats(nodes_visited=4, codes_allocated=1, merge_work=2)
     # !(!(v | !v) | !(a | b)): both children are coded where they are
     # queued, the first as 0, so the one code left is the frame's code and
     # the root is the flat join a | b
@@ -584,7 +599,7 @@ def test_frame_free_join_at_the_root_and_at_the_seam():
     root = arena.neg(arena.join((arena.neg(arena.join((v, arena.neg(v)))), arena.neg(arena.join((a, b))))))
     assert print_term(arena, s.extract_normal_form(s.normalize(root))) == "a | b"
     assert _frame_free(arena, root) == Stats(
-        a2b_collapses=1, a5_drops=1, a7_hits=1, a11_hits=1, nodes_visited=10, memo_hits=1, codes_allocated=4,
+        a2b_collapses=1, a5_drops=1, a7_hits=1, a11_hits=1, nodes_visited=10, memo_hits=1, codes_allocated=1,
         merge_work=5,
     )
 
@@ -596,7 +611,7 @@ def test_double_negated_join_child_still_gets_a_frame():
     a, b, c = arena.var("a"), arena.var("b"), arena.var("c")
     tower = arena.neg(arena.neg(arena.join((a, b))))
     stats = _frame_free(arena, arena.join((arena.var("x"), arena.neg(arena.join((tower, c))))))
-    assert stats == Stats(a2_flattens=1, a6_strips=1, nodes_visited=7, codes_allocated=6, merge_work=5)
+    assert stats == Stats(a2_flattens=1, a6_strips=1, nodes_visited=7, codes_allocated=2, merge_work=5)
 
 
 @pytest.mark.parametrize("stop", [False, True])
@@ -634,7 +649,10 @@ def test_two_code_join_is_decided_as_the_general_merge_decides_it():
     # any other pair takes the two-code branch, with the same rule counters,
     # where the general path merged and dropped one code more
     quick, general = _session_with_every_kind_of_code(), _session_with_every_kind_of_code()
-    codes = range(2 * len(quick._classes))
+    # the constants, each variable's pair by its leaf's ref, each join class's pair
+    leaves = [r for r, p in enumerate(quick.arena._payload) if type(p) is str]
+    codes = [0, 1] + [4 * r + 4 + k for r in leaves for k in (0, 1)]
+    codes += [4 * j + 2 + k for j in range(len(quick._classes)) for k in (0, 1)]
     branches = collections.Counter()
     for a in codes:
         for b in codes:
@@ -660,16 +678,16 @@ def test_two_code_join_is_decided_as_the_general_merge_decides_it():
     [
         # the duplicate is dropped by the frame (A3), and the one code left
         # is the join's (collapse)
-        (["a | !!a"], dict(a2b_collapses=1, a3_dedups=1, a6_strips=1, nodes_visited=2, codes_allocated=1,
+        (["a | !!a"], dict(a2b_collapses=1, a3_dedups=1, a6_strips=1, nodes_visited=2, codes_allocated=0,
                            merge_work=1)),
         # two refs of one class: the root's two codes are equal (A3 + collapse)
         (["!(a | b) | !(b | a)"], dict(a2b_collapses=1, a3_dedups=1, nodes_visited=7, memo_hits=2,
-                                       codes_allocated=3, merge_work=6)),
-        (["v | !v"], dict(a7_hits=1, nodes_visited=3, memo_hits=1, codes_allocated=1, merge_work=2)),
-        (["a | 1"], dict(a4_hits=1, nodes_visited=3, codes_allocated=1)),
+                                       codes_allocated=1, merge_work=6)),
+        (["v | !v"], dict(a7_hits=1, nodes_visited=3, memo_hits=1, codes_allocated=0, merge_work=2)),
+        (["a | 1"], dict(a4_hits=1, nodes_visited=3, codes_allocated=0)),
         # the class of a | b, numbered by the first formula, is met again by
         # the second as b | a
-        (["x | !(a | b)", "y | !(b | a)"], dict(nodes_visited=10, memo_hits=2, codes_allocated=7, merge_work=8)),
+        (["x | !(a | b)", "y | !(b | a)"], dict(nodes_visited=10, memo_hits=2, codes_allocated=3, merge_work=8)),
     ],
     ids=["a3-by-the-frame", "a3-by-the-merge", "a7", "a4", "class-met-twice"],
 )
@@ -687,7 +705,11 @@ _FIG7_N = family_scale("fig7", 2**10)
 _A9_N = family_scale("a9", 2**10)
 _FIG6_NF = " | ".join(f"x{i}" for i in range(1, _FIG6_N + 3))
 _FIG7_NF = " | ".join(f"x{i}" for i in range(1, _FIG7_N + 3))
-_A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
+# children ascend by code: a_i's leaf has ref 4(i-1), so code 16i-12, and
+# !(a_i | b_i) is the complement of join class i-1, code 4i-1
+_A9_NF = " | ".join(
+    t for _, t in sorted(p for i in range(1, _A9_N + 1) for p in ((16 * i - 12, f"a{i}"), (4 * i - 1, f"!(a{i} | b{i})")))
+)
 
 
 # Every Stats field and the printed normal form, pinned so that a rewrite
@@ -700,27 +722,28 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
     [
         pytest.param(
             gen_family("fig6", _FIG6_N), True, _FIG6_NF,
-            dict(a2_flattens=510, nodes_visited=513, codes_allocated=513, merge_work=512),
+            dict(a2_flattens=510, nodes_visited=513, codes_allocated=1, merge_work=512),
             (1023, 1024),
             id="fig6",
         ),
         pytest.param(
             gen_family("fig7", _FIG7_N), True, _FIG7_NF,
             dict(a2_flattens=102, a2b_collapses=102, a5_drops=102, a6_strips=101, a7_hits=102, a11_hits=102,
-                 nodes_visited=719, memo_hits=203, codes_allocated=208, merge_work=311),
+                 nodes_visited=719, memo_hits=203, codes_allocated=2, merge_work=311),
             (921, 922),
             id="fig7",
         ),
         pytest.param(
             gen_family("a9", _A9_N), True, _A9_NF,
-            dict(nodes_visited=817, memo_hits=204, codes_allocated=613, merge_work=816, a9_probe_work=408),
-            (816, 817),
+            dict(nodes_visited=817, memo_hits=204, codes_allocated=205, merge_work=816, a9_probe_work=408),
+            (817, 818),
             id="a9",
         ),
-        # equal-size children are coded in stored order
+        # equal-size children are coded in stored order; the printed order
+        # follows the variables' codes, that is their leaves' refs
         pytest.param(
             parse("b | a"), True, "b | a",
-            dict(nodes_visited=3, codes_allocated=3, merge_work=2),
+            dict(nodes_visited=3, codes_allocated=1, merge_work=2),
             (2, 3),
             id="equal-sizes",
         ),
@@ -731,7 +754,7 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         pytest.param(
             parse("!(!(a | !a) | !(b | c | d | e))"), True, "b | c | d | e",
             dict(a2b_collapses=1, a5_drops=1, a7_hits=1, a11_hits=1,
-                 nodes_visited=12, memo_hits=1, codes_allocated=6, merge_work=7),
+                 nodes_visited=12, memo_hits=1, codes_allocated=1, merge_work=7),
             (8, 12),
             id="seam-is-root",
         ),
@@ -739,7 +762,7 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         pytest.param(
             parse("!(a | !a) | !(b | c | d | e)"), True, "!(b | c | d | e)",
             dict(a2b_collapses=1, a5_drops=1, a7_hits=1, a11_hits=1,
-                 nodes_visited=11, memo_hits=1, codes_allocated=6, merge_work=7),
+                 nodes_visited=11, memo_hits=1, codes_allocated=1, merge_work=7),
             (9, 11),
             id="seam-keeps-negation",
         ),
@@ -749,7 +772,7 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         pytest.param(
             parse("x | !(!(a | !a) | !!!(b | c | d | e))"), True, "x | b | c | d | e",
             dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=1, a7_hits=1, a11_hits=1,
-                 nodes_visited=14, memo_hits=1, codes_allocated=8, merge_work=12),
+                 nodes_visited=14, memo_hits=1, codes_allocated=2, merge_work=12),
             (16, 17),
             id="seam-spliced",
         ),
@@ -758,7 +781,7 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         pytest.param(
             parse("b | c | !(!(a | !a) | !!!(!(b | c | d) | !(b | c)))"), True, "1",
             dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=2, a7_hits=1, a9_hits=1, a11_hits=1,
-                 nodes_visited=14, memo_hits=5, codes_allocated=6, merge_work=11, a9_probe_work=5),
+                 nodes_visited=14, memo_hits=5, codes_allocated=2, merge_work=11, a9_probe_work=5),
             (18, 19),
             id="seam-spliced-sorted",
         ),
@@ -769,7 +792,7 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         pytest.param(
             parse("x | !(!(a | !a) | !(!!b | !!c))"), True, "x | b | c",
             dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=2, a7_hits=1, a11_hits=1,
-                 nodes_visited=12, memo_hits=1, codes_allocated=6, merge_work=8),
+                 nodes_visited=12, memo_hits=1, codes_allocated=2, merge_work=8),
             (16, 17),
             id="seam-pre-empted-by-towers",
         ),
@@ -778,26 +801,26 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         # before it stops are met in the memo when the frame is opened.
         # The seam b | c | !(d | e) cancels one negation and becomes the root
         pytest.param(
-            parse("!(!(a | !a) | !(b | c | !(d | e)))"), True, "b | c | !(d | e)",
+            parse("!(!(a | !a) | !(b | c | !(d | e)))"), True, "!(d | e) | b | c",
             dict(a2b_collapses=1, a5_drops=1, a6_strips=1, a7_hits=1, a11_hits=1,
-                 nodes_visited=13, memo_hits=3, codes_allocated=7, merge_work=7, a9_probe_work=2),
-            (10, 14),
+                 nodes_visited=13, memo_hits=3, codes_allocated=2, merge_work=7, a9_probe_work=2),
+            (14, 15),
             id="framed-seam-is-root",
         ),
         # no negation opened the root, so the seam keeps its own and is
         # resolved in place
         pytest.param(
-            parse("!(a | !a) | !(b | c | !(d | e))"), True, "!(b | c | !(d | e))",
+            parse("!(a | !a) | !(b | c | !(d | e))"), True, "!(!(d | e) | b | c)",
             dict(a2b_collapses=1, a5_drops=1, a7_hits=1, a11_hits=1,
-                 nodes_visited=13, memo_hits=3, codes_allocated=7, merge_work=7, a9_probe_work=2),
-            (11, 13),
+                 nodes_visited=13, memo_hits=3, codes_allocated=2, merge_work=7, a9_probe_work=2),
+            (14, 15),
             id="framed-seam-keeps-negation",
         ),
         # the seam crosses a negation, loses `!!` and is spliced into the root join
         pytest.param(
-            parse("x | !(!(a | !a) | !!!(b | c | !(d | e)))"), True, "x | b | c | !(d | e)",
+            parse("x | !(!(a | !a) | !!!(b | c | !(d | e)))"), True, "!(d | e) | x | b | c",
             dict(a2_flattens=1, a2b_collapses=1, a5_drops=1, a6_strips=2, a7_hits=1, a11_hits=1,
-                 nodes_visited=14, memo_hits=3, codes_allocated=8, merge_work=8, a9_probe_work=2),
+                 nodes_visited=14, memo_hits=3, codes_allocated=2, merge_work=8, a9_probe_work=2),
             (18, 19),
             id="framed-seam-spliced",
         ),
@@ -808,7 +831,7 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         pytest.param(
             parse("b | c | !(!(a | !a) | !!!(!(b | c | !(d | e)) | !(b | (c | c))))"), True, "1",
             dict(a2_flattens=2, a2b_collapses=1, a3_dedups=1, a5_drops=1, a6_strips=2, a7_hits=1, a9_hits=1,
-                 a11_hits=1, nodes_visited=17, memo_hits=8, codes_allocated=8, merge_work=13, a9_probe_work=4),
+                 a11_hits=1, nodes_visited=17, memo_hits=8, codes_allocated=3, merge_work=13, a9_probe_work=4),
             (22, 23),
             id="framed-seam-spliced-sorted",
         ),
@@ -818,14 +841,14 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         pytest.param(
             parse("!!(0 | a) | !!!!(0 | a)"), True, "a",
             dict(a2_flattens=1, a2b_collapses=1, a3_dedups=1, a5_drops=1, a6_strips=2, nodes_visited=3,
-                 codes_allocated=1, merge_work=1),
+                 codes_allocated=0, merge_work=1),
             (1, 8),
             id="seam-queued-then-deduplicated",
         ),
         pytest.param(
             gen_family("fig7", _FIG7_N), False, _FIG7_NF,
             dict(a2_flattens=102, a2b_collapses=102, a5_drops=102, a7_hits=102, a11_hits=102,
-                 nodes_visited=921, memo_hits=203, codes_allocated=309, merge_work=5765),
+                 nodes_visited=921, memo_hits=203, codes_allocated=103, merge_work=5765),
             (921, 922),
             id="fig7-stored-order",
         ),
@@ -833,16 +856,16 @@ _A9_NF = " | ".join(f"a{i} | !(a{i} | b{i})" for i in range(1, _A9_N + 1))
         # a negation; extraction interns three new nodes, the first member
         # being the input's own node
         pytest.param(
-            parse("!(!(b | a) | d) | !(c | !(a | b)) | e"), True, "e | !(!(b | a) | d) | !(c | !(b | a))",
-            dict(nodes_visited=14, memo_hits=3, codes_allocated=9, merge_work=11, a9_probe_work=4),
+            parse("!(!(b | a) | d) | !(c | !(a | b)) | e"), True, "!(!(b | a) | d) | !(!(b | a) | c) | e",
+            dict(nodes_visited=14, memo_hits=3, codes_allocated=4, merge_work=11, a9_probe_work=4),
             (16, 17),
             id="shared-class",
         ),
-        # literal constant leaves are coded like names, through the class table
+        # literal constant leaves are coded by the lookup that codes names
         pytest.param(
-            parse("!(0 | !(a | 1) | b) | (c & 1)"), True, "c | !b",
+            parse("!(0 | !(a | 1) | b) | (c & 1)"), True, "!b | c",
             dict(a2b_collapses=2, a4_hits=1, a5_drops=3, a11_hits=2, nodes_visited=14, memo_hits=2,
-                 codes_allocated=4, merge_work=4),
+                 codes_allocated=1, merge_work=4),
             (15, 16),
             id="constants",
         ),
@@ -866,39 +889,39 @@ def test_golden_stats_and_normal_form(formula, scheduling, printed, counters, ex
 @pytest.mark.parametrize(
     "texts, printed, counters",
     [
-        (["x | !(!!a | !!b)"], ["x | !(a | b)"],
-         dict(a6_strips=2, nodes_visited=6, codes_allocated=5, merge_work=4)),
-        (["x | !(!!a | b)"], ["x | !(a | b)"],
-         dict(a6_strips=1, nodes_visited=6, codes_allocated=5, merge_work=4)),
+        (["x | !(!!a | !!b)"], ["!(a | b) | x"],
+         dict(a6_strips=2, nodes_visited=6, codes_allocated=2, merge_work=4)),
+        (["x | !(!!a | b)"], ["!(a | b) | x"],
+         dict(a6_strips=1, nodes_visited=6, codes_allocated=2, merge_work=4)),
         # an odd tower strips to a negated leaf, which is coded too
-        (["x | !(!!!a | b)"], ["x | !(!a | b)"],
-         dict(a6_strips=1, nodes_visited=7, codes_allocated=5, merge_work=4)),
-        (["x | !(!!!!a | b)"], ["x | !(a | b)"],
-         dict(a6_strips=2, nodes_visited=6, codes_allocated=5, merge_work=4)),
+        (["x | !(!!!a | b)"], ["!(!a | b) | x"],
+         dict(a6_strips=1, nodes_visited=7, codes_allocated=2, merge_work=4)),
+        (["x | !(!!!!a | b)"], ["!(a | b) | x"],
+         dict(a6_strips=2, nodes_visited=6, codes_allocated=2, merge_work=4)),
         # an even tower over 0 is 0, dropped (A5); over 1 it is 1 (A4)
         (["x | !(!!0 | a)"], ["x | !a"],
-         dict(a2b_collapses=1, a5_drops=1, a6_strips=1, nodes_visited=6, codes_allocated=3, merge_work=3)),
+         dict(a2b_collapses=1, a5_drops=1, a6_strips=1, nodes_visited=6, codes_allocated=1, merge_work=3)),
         (["x | !(!!!!1 | a)"], ["x"],
          dict(a2b_collapses=1, a4_hits=1, a5_drops=1, a6_strips=2, a11_hits=1, nodes_visited=6,
-              codes_allocated=2, merge_work=1)),
+              codes_allocated=0, merge_work=1)),
         # an odd tower over a constant negates it once (A10, A11)
         (["x | !(!!!0 | a)"], ["x"],
          dict(a2b_collapses=1, a4_hits=1, a5_drops=1, a6_strips=1, a10_hits=1, a11_hits=1, nodes_visited=7,
-              codes_allocated=2, merge_work=1)),
+              codes_allocated=0, merge_work=1)),
         (["x | !(!!!1 | a)"], ["x | !a"],
-         dict(a2b_collapses=1, a5_drops=1, a6_strips=1, a11_hits=1, nodes_visited=7, codes_allocated=3,
+         dict(a2b_collapses=1, a5_drops=1, a6_strips=1, a11_hits=1, nodes_visited=7, codes_allocated=1,
               merge_work=3)),
         # over a join the first formula coded: met in the memo, its class
         # merged by its members
-        (["b | c", "x | !(a | !!(b | c))"], ["b | c", "x | !(b | c | a)"],
-         dict(a2_flattens=1, a6_strips=1, nodes_visited=8, memo_hits=1, codes_allocated=7, merge_work=7)),
+        (["b | c", "x | !(a | !!(b | c))"], ["b | c", "!(b | c | a) | x"],
+         dict(a2_flattens=1, a6_strips=1, nodes_visited=8, memo_hits=1, codes_allocated=3, merge_work=7)),
         # the scan stops at the join b | c; a, coded before the stop, is
         # met in the memo when the frame strips !!a again
-        (["x | !(!!a | (b | c))"], ["x | !(a | b | c)"],
-         dict(a2_flattens=1, a6_strips=1, nodes_visited=7, memo_hits=1, codes_allocated=6, merge_work=5)),
+        (["x | !(!!a | (b | c))"], ["!(a | b | c) | x"],
+         dict(a2_flattens=1, a6_strips=1, nodes_visited=7, memo_hits=1, codes_allocated=2, merge_work=5)),
         # a tower ending on a join not coded yet stops the scan too
-        (["x | !(!!a | !!(b | c))"], ["x | !(a | b | c)"],
-         dict(a2_flattens=1, a6_strips=2, nodes_visited=7, memo_hits=1, codes_allocated=6, merge_work=5)),
+        (["x | !(!!a | !!(b | c))"], ["!(a | b | c) | x"],
+         dict(a2_flattens=1, a6_strips=2, nodes_visited=7, memo_hits=1, codes_allocated=2, merge_work=5)),
     ],
     ids=["both-towers", "one-tower", "odd", "height-4", "even-over-0", "even-over-1", "odd-over-0",
          "odd-over-1", "over-a-coded-join", "scan-stops-after-a-tower", "scan-stops-at-a-tower"],
@@ -915,7 +938,8 @@ def test_golden_towers_in_a_scanned_join(texts, printed, counters):
 
 
 class _ReadLog(list):
-    """A class table that counts its reads by the name of the reading function."""
+    """A class table that counts its reads, appends and length queries by
+    the name of the calling function."""
 
     def __init__(self, items):
         super().__init__(items)
@@ -924,6 +948,14 @@ class _ReadLog(list):
     def __getitem__(self, index):
         self.readers[sys._getframe(1).f_code.co_name] += 1
         return super().__getitem__(index)
+
+    def append(self, item):
+        self.readers[sys._getframe(1).f_code.co_name] += 1
+        super().append(item)
+
+    def __len__(self):
+        self.readers[sys._getframe(1).f_code.co_name] += 1
+        return super().__len__()
 
 
 def _golden_formulas():
@@ -936,9 +968,10 @@ def _golden_formulas():
 
 
 def test_only_finish_join_reads_the_class_table():
-    # the fused pass appends the names of new variables and reads no class
-    # key: `_finish_join` alone tells a join class from another code.  Not
-    # part of the call-count test, as every read here is a Python call
+    # the fused pass codes a variable by its leaf's ref, so it never reads,
+    # appends to or takes the length of the class table: `_finish_join`
+    # alone splits and numbers join classes.  Not part of the call-count
+    # test, as every access here is a Python call
     inputs = [[gen_family(family, family_scale(family, 2**10))] for family in FAMILIES]
     readers = collections.Counter()
     for formulas in inputs + list(_golden_formulas()):
@@ -949,7 +982,39 @@ def test_only_finish_join_reads_the_class_table():
             for f in formulas:
                 s.normalize(to_internal(f, arena))
             readers += log.readers
+    assert readers["_run"] == 0, readers
     assert list(readers) == ["_finish_join"], readers
+
+
+def test_codes_carry_their_kind():
+    # one shared session over every bench family, the golden formulas and
+    # random formulas: a variable's code comes from its leaf's ref, and the
+    # class table holds join classes only, each numbered by `_finish_join`
+    inputs = [gen_family(family, family_scale(family, 2**10)) for family in FAMILIES]
+    inputs += [f for formulas in _golden_formulas() for f in formulas]
+    rng = random.Random(35)
+    inputs += [random_formula(rng, rng.randint(1, 60), ["a", "b", "c", "d", "e"]) for _ in range(200)]
+    arena, s = fresh()
+    for f in inputs:
+        s.normalize(to_internal(f, arena))
+    assert s.stats.codes_allocated == len(s._classes) > 0
+    leaves = [r for r, code in enumerate(s._node_codes) if type(arena._payload[r]) is str and code is not None]
+    variables = [r for r in leaves if arena._payload[r] not in ("0", "1")]
+    assert variables and len(variables) < len(leaves)  # constant leaves were coded too
+    for r in variables:
+        assert s._node_codes[r] == 4 * (r + 1), r
+        assert s.join_class_members(4 * (r + 1)) is None
+        assert s.extract_normal_form(4 * (r + 1)) == r
+    for members in s._classes:
+        assert type(members) is tuple and len(members) >= 2 and list(members) == sorted(set(members)), members
+    # never assigned: a bool, a variable code of a leaf this session never
+    # coded (a constant's leaf, or a leaf interned after the pass), a join
+    # code past the table
+    never = [r for r in leaves if r not in variables] + [arena.var("never_coded")]
+    for code in (True, False, *(4 * (r + 1) + k for r in never for k in (0, 1)), 4 * len(s._classes) + 2):
+        for use in (s.join_class_members, s.extract_normal_form):
+            with pytest.raises(ValueError, match="never assigned"):
+                use(code)
 
 
 STATS_FIELDS = [
